@@ -43,6 +43,8 @@ def test_counts_repeat_across_seeds(workload, tmp_path):
     for name in tracing.EXACT_COUNTS:
         assert counts_a[name] == counts_b[name], name
     assert counts_a["product.family_size"] > 0
+    if workload == "certify":
+        assert counts_a["morphisms.enumerate_automorphisms.leaves"] > 0
 
 
 def test_seeds_relabel_the_inputs():
@@ -84,6 +86,15 @@ def test_metric_names_match_the_spec(tmp_path):
 
 def test_describe_reports_the_tail_only_with_ten_samples_beyond():
     assert run.describe([3.0, 1.0, 2.0])["tail"] is None
+    two = run.describe([2.0, 1.0])
+    assert (two["q1"], two["median"], two["q3"]) == (1.25, 1.5, 1.75)
     stats = run.describe([float(i) for i in range(12)])
     assert stats["tail"] == {"percentile": 100.0 * 2 / 12, "value": 1.0}
     assert (stats["median"], stats["n"]) == (5.5, 12)
+
+
+def test_setup_child_reports_its_set_up_time():
+    args = run.argparse.Namespace(workload="documents", seed=3)
+    report = run.spawn(args, "setup", 0, 0)
+    assert report["backend"] == seplat.BACKEND
+    assert 0 < report["setup_s"] <= report["wall_s"]

@@ -9,9 +9,9 @@ library file changes, and an untraced run never calls `install`.
 
 A span's self time is its duration minus the time its child spans cover;
 a layer's self time is the sum over its spans.  Spans are aggregated per
-function as they close (call count, self time, inclusive time of the
-outermost activation, and call counts per parent function), so memory
-stays flat however many calls a pass makes.
+function as they close (call count, self time and inclusive time of the
+outermost activation), so memory stays flat however many calls a pass
+makes.
 
 The kernel layer is the dispatch API of `seplat._kernels`; helpers that
 other modules call straight from `seplat._kernels.pure` count toward the
@@ -125,6 +125,20 @@ HOOKS = {
 }
 
 
+# Calls counted only when made directly from one traced function:
+# callee key -> (caller key, counter).
+DIRECT_CALLS = {
+    "kernels.family_preserved": (
+        "morphisms.enumerate_automorphisms",
+        "morphisms.enumerate_automorphisms.leaves",
+    ),
+    "ortho.validate_ortho": (
+        "morphisms.enumerate_orthocomplementations",
+        "morphisms.enumerate_orthocomplementations.candidates",
+    ),
+}
+
+
 class _Stat:
     __slots__ = ("calls", "self_s")
 
@@ -142,26 +156,16 @@ class _Group:
 
 
 class Tracer:
-    """Aggregated spans of the traced seplat modules.  One instance per
-    process; `reset` starts a new pass, `metrics` reads it."""
+    """Aggregated spans of the traced seplat modules since `install`;
+    `metrics` reads them."""
 
     def __init__(self):
         self.stats: dict[str, _Stat] = {}
         self.groups: dict[str, _Group] = {}
-        self.parents = defaultdict(int)  # (parent key, key) -> calls
         self.counters = defaultdict(float)
         self.spanned_s = 0.0  # time covered by top-level spans
         self._stack: list = []
         self._patches: list = []
-
-    def reset(self) -> None:
-        for st in self.stats.values():
-            st.calls, st.self_s = 0, 0.0
-        for g in self.groups.values():
-            g.total_s = 0.0
-        self.parents.clear()
-        self.counters.clear()
-        self.spanned_s = 0.0
 
     # -- wrapping ---------------------------------------------------------
 
@@ -169,7 +173,8 @@ class Tracer:
         st = self.stats[key] = _Stat()
         group = self.groups.setdefault(GROUPS.get(key, key), _Group())
         hook = HOOKS.get(key)
-        stack, parents, counters = self._stack, self.parents, self.counters
+        caller, direct_counter = DIRECT_CALLS.get(key, (None, None))
+        stack, counters = self._stack, self.counters
         tracer = self
 
         @wraps(fn)
@@ -193,7 +198,8 @@ class Tracer:
                     tracer.spanned_s += dt
                 else:
                     parent[1] += dt
-                    parents[parent[0], key] += 1
+                    if parent[0] == caller:
+                        counters[direct_counter] += 1
             if hook is not None:
                 hook(counters, args, kwargs, result, dt)
             return result
@@ -241,7 +247,7 @@ class Tracer:
     # -- metrics ----------------------------------------------------------
 
     def metrics(self, pass_s: float) -> dict:
-        """Per-layer metrics of the pass since the last `reset`."""
+        """Per-layer metrics of everything traced since `install`."""
         st, total, c = self.stats, self.groups, self.counters
 
         def calls(key):
@@ -281,14 +287,14 @@ class Tracer:
             "characterize",
         ):
             out[f"morphisms.{name}.s"] = seconds(f"morphisms.{name}")
-        leaves = self.parents["morphisms.enumerate_automorphisms", "kernels.family_preserved"]
+        leaves = int(c["morphisms.enumerate_automorphisms.leaves"])
         out["morphisms.enumerate_automorphisms.leaves"] = leaves
         out["morphisms.enumerate_automorphisms.leaf_yield"] = ratio(
             c["morphisms.enumerate_automorphisms.members"], leaves
         )
         out["morphisms.enumerate_orthocomplementations.leaf_yield"] = ratio(
             c["morphisms.enumerate_orthocomplementations.found"],
-            self.parents["morphisms.enumerate_orthocomplementations", "ortho.validate_ortho"],
+            c["morphisms.enumerate_orthocomplementations.candidates"],
         )
         out["lattice.join.calls"] = calls("lattice.Lattice.join")
         out["lattice.join.s"] = seconds("lattice.Lattice.join")

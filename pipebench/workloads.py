@@ -11,7 +11,9 @@ job sees it.  The frozen values are invariants of the isomorphism class,
 so they hold for every seed.  Every atom permutation is an automorphism
 of MO(n) and of B3, so for those factors a relabeling changes the
 orthocomplementation pairing, the atom labels and the documents but not
-the closed family; GF(2)^3 gets a different family.
+the closed family; GF(2)^3 gets a different family.  Equal inputs on
+later passes cannot hit a cache, because run.py runs every pass in a fresh
+process; within one pass, copies of one MO(n) are still equal lattices.
 """
 
 from __future__ import annotations
