@@ -11,6 +11,7 @@ instances wider than 64 atoms are always routed to the pure versions.
 import os
 
 from . import pure
+from .pure import _mask_action  # one permutation's mask action, for seplat.perm
 
 _compiled = None
 if not os.environ.get("SEPLAT_FORCE_PURE"):

@@ -52,14 +52,21 @@ def _byte_tables(perm: Sequence[int], n_atoms: int) -> list[list[int]]:
     return tables
 
 
-def apply_perm(tables: list[list[int]], mask: int) -> int:
-    img = 0
-    c = 0
-    while mask:
-        img |= tables[c][mask & 0xFF]
-        mask >>= 8
-        c += 1
-    return img
+def _mask_action(perm: Sequence[int]):
+    """The mask action of an atom permutation: a function sending an atom
+    mask to the mask of its image."""
+    tables = _byte_tables(perm, len(perm))
+
+    def act(mask: int) -> int:
+        img = 0
+        c = 0
+        while mask:
+            img |= tables[c][mask & 0xFF]
+            mask >>= 8
+            c += 1
+        return img
+
+    return act
 
 
 def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]:
@@ -68,7 +75,11 @@ def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]
     The condition says each permutation either maps A into itself (hence,
     bijectivity, onto itself) or clean off itself.  Exhaustive sweep over
     2**n_atoms − 1 masks; identity permutations are skipped since they
-    satisfy the condition for every A."""
+    satisfy the condition for every A.
+
+    The byte loop of `_mask_action` is inlined here and in
+    `family_preserved`: these two sweeps touch millions of masks per
+    certification, and a function call per mask would dominate them."""
     tablist = [
         _byte_tables(p, n_atoms) for p in perms if any(p[i] != i for i in range(n_atoms))
     ]

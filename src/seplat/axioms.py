@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import _kernels
 from .bitset import atoms_of, full_mask, is_subset, iter_atoms, mask_of, popcount
-from .errors import CoveringError, SizeCapError, ValidationError
+from .errors import CoveringError, SizeCapError
 from .lattice import Lattice
 from .perm import Automorphism, AutoGroup
-from .product import CheckReport, ProductLattice, otimes
+from .product import CheckReport, ProductLattice, _subset_pools, otimes
 
 TRANSITIVITY_ATOM_CAP = 20
 CLASSIFY_ATOM_CAP = 16
@@ -300,14 +300,7 @@ def _check_embedding_morphism(
     values = list(h.values())
     report.record(len(set(values)) == len(values), (side, "injective"))
     report.record(set(h.keys()) == set(factor.closed_sets), (side, "total"))
-    pools = []
-    elems = factor.closed_sets
-    for r in range(subset_cap + 1):
-        pools.extend(itertools.combinations(elems, r))
-    for _ in range(samples):
-        size = rng.randint(subset_cap + 1, max(subset_cap + 1, len(elems)))
-        pools.append(tuple(rng.sample(elems, min(size, len(elems)))))
-    for omega in pools:
+    for omega in _subset_pools(factor.closed_sets, subset_cap, samples, rng):
         want_meet = h[factor.meet(omega)]
         got_meet = base.meet([h[x] for x in omega])
         report.record(
@@ -318,6 +311,11 @@ def _check_embedding_morphism(
         report.record(
             want_join == got_join, (side, "join", [atoms_of(x) for x in omega])
         )
+
+
+def _pair_perm(u1: Automorphism, u2: Automorphism, n1: int, n2: int) -> tuple[int, ...]:
+    """The pair-atom permutation (p1, p2) -> (u1 p1, u2 p2)."""
+    return tuple(u1.perm[i] * n2 + u2.perm[j] for i in range(n1) for j in range(n2))
 
 
 def check_sproduct(
@@ -382,15 +380,11 @@ def check_sproduct(
     rep.reports["P3"] = p3
 
     p4 = CheckReport("P4")
-    n2 = right.atom_count
+    n1, n2 = left.atom_count, right.atom_count
     fam = base.closed_sets
     for u1 in t1:
         for u2 in t2:
-            pair_perm = tuple(
-                u1.perm[i] * n2 + u2.perm[j]
-                for i in range(left.atom_count)
-                for j in range(n2)
-            )
+            pair_perm = _pair_perm(u1, u2, n1, n2)
             ok = _kernels.family_preserved(pair_perm, fam, base.atom_count)
             p4.record(ok, (u1.perm, u2.perm))
     rep.reports["P4"] = p4
@@ -478,12 +472,12 @@ def strongly_transitive(
     if mode != "sample":
         raise ValueError(f"unknown mode: {mode!r}")
     rng = random.Random(seed)
-    tables = [Automorphism(p) for p in perms if any(p[i] != i for i in range(n))]
+    movers = [u for u in group if not u.is_identity()]
     for _ in range(samples):
         m = rng.getrandbits(n)
         if m == 0 or m == full or popcount(m) == 1:
             continue
-        if all(_block_condition(u(m), m) for u in tables):
+        if all(_block_condition(u(m), m) for u in movers):
             return TransitivityResult(
                 False, mode, "only trivial invariant subsets", atoms_of(m)
             )
@@ -527,14 +521,8 @@ def induced_pair_group(product: ProductLattice, t1: AutoGroup, t2: AutoGroup) ->
     automorphism group that excludes the factor-swapping maps.
     """
     n1, n2 = product.left.atom_count, product.right.atom_count
-    members = []
-    for u1 in t1:
-        for u2 in t2:
-            pair_perm = tuple(
-                u1.perm[i] * n2 + u2.perm[j] for i in range(n1) for j in range(n2)
-            )
-            members.append(Automorphism(pair_perm))
-    return AutoGroup(product.base, tuple(members))
+    members = [Automorphism(_pair_perm(u1, u2, n1, n2)) for u1 in t1 for u2 in t2]
+    return AutoGroup(product.base, members)
 
 
 def classify_invariant_subsets(
@@ -576,21 +564,20 @@ def classify_invariant_subsets(
             return "column"
         return "unexpected"
 
-    perms = [u.perm for u in group]
     if mode == "exact":
         if n > atom_cap:
             raise SizeCapError(
                 f"exhaustive sweep over {n} atoms exceeds cap {atom_cap}; "
                 "use mode='sample'"
             )
-        invariant = _kernels.invariant_subsets(perms, n)
+        invariant = _kernels.invariant_subsets([u.perm for u in group], n)
         return ClassificationResult([(m, tag(m)) for m in invariant], "exact")
     if mode != "sample":
         raise ValueError(f"unknown mode: {mode!r}")
-    autos = [Automorphism(p) for p in perms if any(p[i] != i for i in range(n))]
+    movers = [u for u in group if not u.is_identity()]
 
     def invariant_under_all(mask: int) -> bool:
-        return all(_block_condition(u(mask), mask) for u in autos)
+        return all(_block_condition(u(mask), mask) for u in movers)
 
     entries = []
     candidates = [full] + [1 << a for a in range(n)] + list(rows) + list(cols)

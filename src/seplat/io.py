@@ -163,13 +163,18 @@ def load_product(
             "factor atom counts match the product document",
             (meta.get("left_atoms"), meta.get("right_atoms")),
         )
+    # the indices point into the document's own closed_sets order
+    order = [mask_of(s) for s in doc.closed_sets]
+
     def embedding(key: str, factor: Lattice) -> dict[int, int]:
         indices = meta.get(key)
         if not isinstance(indices, list) or len(indices) != len(factor.closed_sets):
             raise ValidationError(f"product document carries {key}", indices)
         out = {}
         for src, dst in zip(factor.closed_sets, indices):
-            out[src] = base.closed_sets[dst]
+            if not isinstance(dst, int) or not 0 <= dst < len(order):
+                raise ValidationError(f"{key} indices in range", dst)
+            out[src] = order[dst]
         return out
 
     return ProductLattice(

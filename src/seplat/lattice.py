@@ -18,7 +18,6 @@ from .bitset import (
     canonical_family,
     full_mask,
     is_subset,
-    mask_of,
     popcount,
 )
 from .errors import ForeignElementError, SizeCapError, ValidationError
@@ -191,13 +190,7 @@ class Lattice:
         u = 0
         for x in xs:
             u |= self.require(x)
-        if u in self._index:
-            return u
-        acc = self.top
-        for s in self.closed_sets:
-            if u & ~s == 0:
-                acc &= s
-        return acc
+        return self.closure(u)
 
     def closure(self, raw: int) -> int:
         """Smallest closed superset of an arbitrary atom set."""

@@ -12,19 +12,17 @@ directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _kernels
-from ._kernels import pure as _pure
 from .axioms import (
     Covering,
     check_sproduct,
     strongly_transitive,
     weakly_connected,
 )
-from .bitset import atoms_of, full_mask, is_subset, iter_atoms, popcount
+from .bitset import atoms_of, is_subset, popcount
 from .errors import (
     CharacterizationError,
     FactorizationError,
@@ -63,6 +61,41 @@ def _atom_profiles(counts: list[list[int]]) -> list[tuple]:
     ]
 
 
+def _atom_maps(counts_a: list[list[int]], counts_b: list[list[int]], leaf) -> None:
+    """Backtrack over the atom maps between two lattices with pair-count
+    tables `counts_a` and `counts_b` that keep every atom profile and pair
+    count, calling `leaf` on each complete map (atom i goes to perm[i]) in
+    lexicographic order until it returns True."""
+    n = len(counts_a)
+    prof_a = _atom_profiles(counts_a)
+    prof_b = prof_a if counts_b is counts_a else _atom_profiles(counts_b)
+    assigned = [-1] * n
+    used = [False] * n
+
+    def dfs(k: int) -> bool:
+        if k == n:
+            return leaf(tuple(assigned))
+        for x in range(n):
+            if used[x] or prof_b[x] != prof_a[k]:
+                continue
+            ok = True
+            for q in range(k):
+                if counts_a[k][q] != counts_b[x][assigned[q]]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assigned[k] = x
+            used[x] = True
+            if dfs(k + 1):
+                return True
+            used[x] = False
+        assigned[k] = -1
+        return False
+
+    dfs(0)
+
+
 def enumerate_automorphisms(
     lattice: Lattice, atom_cap: int = AUTOMORPHISM_ATOM_CAP
 ) -> AutoGroup:
@@ -74,49 +107,17 @@ def enumerate_automorphisms(
         raise SizeCapError(
             f"automorphism search over {n} atoms exceeds cap {atom_cap}"
         )
-    if n == 0:
-        return AutoGroup(lattice, (Automorphism(()),))
-    counts = _atom_pair_counts(lattice)
-    profiles = _atom_profiles(counts)
     fam = lattice.closed_sets
-    assigned = [-1] * n
-    used = [False] * n
     found: list[Automorphism] = []
 
-    def dfs(k: int) -> None:
-        if k == n:
-            perm = tuple(assigned)
-            if _kernels.family_preserved(perm, fam, n):
-                found.append(Automorphism(perm))
-            return
-        for x in range(n):
-            if used[x] or profiles[x] != profiles[k]:
-                continue
-            ok = True
-            for q in range(k):
-                if counts[k][q] != counts[x][assigned[q]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[k] = x
-            used[x] = True
-            dfs(k + 1)
-            used[x] = False
-        assigned[k] = -1
+    def leaf(perm: tuple[int, ...]) -> bool:
+        if _kernels.family_preserved(perm, fam, n):
+            found.append(Automorphism(perm))
+        return False
 
-    dfs(0)
+    counts = _atom_pair_counts(lattice)
+    _atom_maps(counts, counts, leaf)
     return AutoGroup(lattice, found)
-
-
-def _maps_family_onto(perm, src: Lattice, dst: Lattice) -> bool:
-    """True iff the atom map perm (src atom index -> dst atom index)
-    carries the closed family of src onto closed sets of dst."""
-    tables = _pure._byte_tables(perm, src.atom_count)
-    for s in src.closed_sets:
-        if _pure.apply_perm(tables, s) not in dst:
-            return False
-    return True
 
 
 @dataclass
@@ -178,19 +179,22 @@ def factor_automorphism(
     left_map = tuple(t for _, t in row_targets)
     right_map = tuple(col_targets)
     if side == "straight":
-        if not _maps_family_onto(left_map, left, left):
-            raise FactorizationError("left map is a factor automorphism", left_map)
-        if not _maps_family_onto(right_map, right, right):
-            raise FactorizationError("right map is a factor automorphism", right_map)
+        checks = (
+            (left_map, left, left, "left map is a factor automorphism"),
+            (right_map, right, right, "right map is a factor automorphism"),
+        )
     else:
-        if not _maps_family_onto(left_map, left, right):
-            raise FactorizationError(
-                "left map is an isomorphism onto the right factor", left_map
-            )
-        if not _maps_family_onto(right_map, right, left):
-            raise FactorizationError(
-                "right map is an isomorphism onto the left factor", right_map
-            )
+        checks = (
+            (left_map, left, right, "left map is an isomorphism onto the right factor"),
+            (right_map, right, left, "right map is an isomorphism onto the left factor"),
+        )
+    for amap, src, dst, step in checks:
+        # a bijection onto the target atoms first: Automorphism refuses anything else
+        if sorted(amap) != list(range(dst.atom_count)):
+            raise FactorizationError(step, amap)
+        u = Automorphism(amap)
+        if any(u(s) not in dst for s in src.closed_sets):
+            raise FactorizationError(step, amap)
     for i in range(n1):
         for j in range(n2):
             got = auto(product.singleton(i, j))
@@ -279,40 +283,21 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
         return None
     if sorted(map(popcount, a.closed_sets)) != sorted(map(popcount, b.closed_sets)):
         return None
-    n = a.atom_count
-    if n == 0:
-        return ()
     counts_a = _atom_pair_counts(a)
     counts_b = _atom_pair_counts(b)
-    prof_a = _atom_profiles(counts_a)
-    prof_b = _atom_profiles(counts_b)
-    if sorted(prof_a) != sorted(prof_b):
+    if sorted(_atom_profiles(counts_a)) != sorted(_atom_profiles(counts_b)):
         return None
-    assigned = [-1] * n
-    used = [False] * n
     out: list[tuple[int, ...]] = []
 
-    def dfs(k: int) -> bool:
-        if k == n:
-            perm = tuple(assigned)
-            if _maps_family_onto(perm, a, b):
-                out.append(perm)
-                return True
+    def leaf(perm: tuple[int, ...]) -> bool:
+        u = Automorphism(perm)
+        if any(u(s) not in b for s in a.closed_sets):
             return False
-        for x in range(n):
-            if used[x] or prof_b[x] != prof_a[k]:
-                continue
-            if any(counts_a[k][q] != counts_b[x][assigned[q]] for q in range(k)):
-                continue
-            assigned[k] = x
-            used[x] = True
-            if dfs(k + 1):
-                return True
-            used[x] = False
-        assigned[k] = -1
-        return False
+        out.append(perm)
+        return True
 
-    return out[0] if dfs(0) else None
+    _atom_maps(counts_a, counts_b, leaf)
+    return out[0] if out else None
 
 
 @dataclass

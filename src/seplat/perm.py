@@ -10,26 +10,32 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ._kernels import pure as _pure
+from . import _kernels
 from .errors import ValidationError
 from .lattice import Lattice
 
 
 class Automorphism:
-    """Atom permutation with a fast mask action."""
+    """Atom permutation with a fast mask action, built on first use."""
 
-    __slots__ = ("perm", "_tables")
+    __slots__ = ("perm", "_act")
 
     def __init__(self, perm: Sequence[int]):
         self.perm = tuple(perm)
-        self._tables = _pure._byte_tables(self.perm, len(self.perm))
+        if set(self.perm) != set(range(len(self.perm))) or not all(
+            type(p) is int for p in self.perm
+        ):
+            raise ValidationError("automorphism is a permutation of the atoms", self.perm)
+        self._act = None
 
     @classmethod
     def identity(cls, n: int) -> "Automorphism":
         return cls(range(n))
 
     def __call__(self, mask: int) -> int:
-        return _pure.apply_perm(self._tables, mask)
+        if self._act is None:
+            self._act = _kernels._mask_action(self.perm)
+        return self._act(mask)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Automorphism) and self.perm == other.perm
@@ -58,8 +64,6 @@ class Automorphism:
         itself."""
         if len(self.perm) != lattice.atom_count:
             return False
-        from . import _kernels
-
         return _kernels.family_preserved(
             self.perm, lattice.closed_sets, lattice.atom_count
         )

@@ -11,11 +11,13 @@ rather than assumed.
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import _kernels
-from .bitset import MAX_ATOMS, atoms_of, full_mask, is_subset, iter_atoms, popcount
+from .bitset import MAX_ATOMS, atoms_of, full_mask, is_subset, iter_atoms
 from .errors import SizeCapError, ValidationError
 from .lattice import Lattice
 from .ortho import AtomOrthogonality, OrthoMap, closure_from_orthogonality
@@ -30,6 +32,20 @@ def _pair_labels(left: Lattice, right: Lattice) -> tuple[str, ...]:
         for j in range(right.atom_count):
             out.append(f"({name(left, i)},{name(right, j)})")
     return tuple(out)
+
+
+def _rect(left_atoms: int, right_atoms: int, n2: int) -> int:
+    """Raw pair-atom set A1 x A2 over a right factor with n2 atoms."""
+    out = 0
+    for i in iter_atoms(left_atoms):
+        out |= right_atoms << (i * n2)
+    return out
+
+
+def _cross(left: Lattice, right: Lattice, left_atoms: int, right_atoms: int) -> int:
+    """Pair-atom set A1 x A(L2) u A(L1) x A2."""
+    n2 = right.atom_count
+    return _rect(left_atoms, right.top, n2) | _rect(left.top, right_atoms, n2)
 
 
 @dataclass
@@ -66,17 +82,11 @@ class ProductLattice:
 
     def rect(self, left_atoms: int, right_atoms: int) -> int:
         """Raw pair-atom set A1 x A2 (not necessarily closed)."""
-        n2 = self.right.atom_count
-        out = 0
-        for i in iter_atoms(left_atoms):
-            out |= right_atoms << (i * n2)
-        return out
+        return _rect(left_atoms, right_atoms, self.right.atom_count)
 
     def cross(self, left_atoms: int, right_atoms: int) -> int:
         """Pair-atom set A1 x A(L2) u A(L1) x A2."""
-        full2 = self.right.top
-        full1 = self.left.top
-        return self.rect(left_atoms, full2) | self.rect(full1, right_atoms)
+        return _cross(self.left, self.right, left_atoms, right_atoms)
 
     def row(self, i: int) -> int:
         return self.rect(1 << i, self.right.top)
@@ -128,17 +138,18 @@ def aerts_product_general(
     n = left.atom_count * right.atom_count
     if n > atom_cap:
         raise SizeCapError(f"product needs {n} pair atoms, cap is {atom_cap}")
-    prod = ProductLattice(
-        base=None, left=left, right=right, h1={}, h2={}, route="generators"
-    )
-    seeds = set()
-    for a1 in left.closed_sets:
-        for a2 in right.closed_sets:
-            seeds.add(prod.cross(a1, a2))
+    seeds = {
+        _cross(left, right, a1, a2)
+        for a1 in left.closed_sets
+        for a2 in right.closed_sets
+    }
     family = _kernels.close_under_intersection(sorted(seeds), full_mask(n))
-    prod.base = Lattice.from_closed_family(
+    base = Lattice.from_closed_family(
         n, family, mode="validate", atom_labels=_pair_labels(left, right),
         atom_cap=atom_cap,
+    )
+    prod = ProductLattice(
+        base=base, left=left, right=right, h1={}, h2={}, route="generators"
     )
     _attach_embeddings(prod)
     return prod
@@ -152,15 +163,12 @@ def sharp_relation(
     The result is validated: it is symmetric, anti-reflexive and
     separating whenever the factor maps are valid orthocomplementations."""
     n1, n2 = left.atom_count, right.atom_count
-    helper = ProductLattice(
-        base=None, left=left, right=right, h1={}, h2={}, route="sharp"
-    )
     polars = []
     for i in range(n1):
         perp1 = ortho1(1 << i)
         for j in range(n2):
             perp2 = ortho2(1 << j)
-            polars.append(helper.cross(perp1, perp2))
+            polars.append(_cross(left, right, perp1, perp2))
     rel = AtomOrthogonality(n1 * n2, polars)
     rel.validate()
     return rel
@@ -190,6 +198,20 @@ def aerts_product_sharp(
 
 
 # -- structural checks --------------------------------------------------
+
+
+def _subset_pools(
+    elems: tuple[int, ...], subset_cap: int, samples: int, rng: random.Random
+) -> list[tuple[int, ...]]:
+    """Every subset of `elems` with at most `subset_cap` members, then
+    `samples` seeded random larger ones."""
+    pools = []
+    for r in range(subset_cap + 1):
+        pools.extend(itertools.combinations(elems, r))
+    for _ in range(samples):
+        r = rng.randint(subset_cap + 1, max(subset_cap + 1, len(elems)))
+        pools.append(tuple(rng.sample(elems, min(r, len(elems)))))
+    return pools
 
 
 @dataclass
@@ -224,9 +246,6 @@ def lateral_join_check(
     the left.  Embedding joins: h(join of a subset) = join of the images,
     exhaustively up to `subset_cap` and on seeded random larger subsets.
     """
-    import itertools
-    import random
-
     report = CheckReport("lateral-join")
     base, left, right = product.base, product.left, product.right
     n1, n2 = left.atom_count, right.atom_count
@@ -250,14 +269,7 @@ def lateral_join_check(
     rng = random.Random(seed)
 
     def check_embedding(lat, h, side):
-        elems = lat.closed_sets
-        pools = []
-        for r in range(subset_cap + 1):
-            pools.extend(itertools.combinations(elems, r))
-        for _ in range(samples):
-            r = rng.randint(subset_cap + 1, max(subset_cap + 1, len(elems)))
-            pools.append(tuple(rng.sample(elems, min(r, len(elems)))))
-        for omega in pools:
+        for omega in _subset_pools(lat.closed_sets, subset_cap, samples, rng):
             got = base.join([h[x] for x in omega])
             want = h[lat.join(omega)]
             report.record(got == want, (side, [atoms_of(x) for x in omega]))

@@ -272,6 +272,38 @@ def test_cli_export(tmp_path, docs, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("key", ["h1", "h2"])
+@pytest.mark.parametrize("index", [999, -1])
+def test_cli_rejects_embedding_index_out_of_range(tmp_path, docs, capsys, key, index):
+    data = json.load(open(docs["prod"]))
+    data["meta"][key][1] = index
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(data, fh)
+    code = main(["sproduct-check", bad, docs["mo2"], docs["mo2"], "--T", "id"])
+    assert code == 2
+    assert f"{key} indices in range" in capsys.readouterr().err
+
+
+def test_load_product_reads_indices_in_document_order(tmp_path, docs, capsys):
+    # generator-route documents carry no orthocomplementation, so nothing
+    # forces their closed_sets into canonical order
+    data = json.load(open(docs["gen"]))
+    last = len(data["closed_sets"]) - 1
+    data["closed_sets"].reverse()
+    for key in ("h1", "h2"):
+        data["meta"][key] = [last - i for i in data["meta"][key]]
+    path = str(tmp_path / "reversed.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    back = io.load_product(path, docs["mo2"], docs["mo2"])
+    want = io.load_product(docs["gen"], docs["mo2"], docs["mo2"])
+    assert back.base == want.base
+    assert back.h1 == want.h1 and back.h2 == want.h2
+    assert main(["sproduct-check", path, docs["mo2"], docs["mo2"], "--T", "id"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 2
     bad = str(tmp_path / "bad.json")

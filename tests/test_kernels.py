@@ -105,12 +105,12 @@ def test_closure_is_a_closure_operator(seeds):
 def test_byte_table_application(data):
     n, perm, mask = data
     perm = tuple(perm)
-    tables = pure._byte_tables(perm, n)
+    act = pure._mask_action(perm)
     want = 0
     for i in range(n):
         if mask >> i & 1:
             want |= 1 << perm[i]
-    assert pure.apply_perm(tables, mask) == want
+    assert act(mask) == want
 
 
 # -- invariant (block-condition) subsets ---------------------------------

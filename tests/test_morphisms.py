@@ -10,6 +10,7 @@ from seplat.errors import (
     CharacterizationError,
     FactorizationError,
     SizeCapError,
+    ValidationError,
 )
 from seplat.perm import Automorphism
 
@@ -64,6 +65,13 @@ def test_automorphism_atom_cap():
         seplat.enumerate_automorphisms(_wide_mo_like(25))
 
 
+def test_automorphism_rejects_non_permutations():
+    for perm in ((0, 0, 1), (1, 2, 3), (0, 2), (0.0, 1.0)):
+        with pytest.raises(ValidationError) as exc:
+            Automorphism(perm)
+        assert exc.value.law == "automorphism is a permutation of the atoms"
+
+
 # -- factorization over a product --------------------------------------------
 
 
@@ -113,6 +121,19 @@ def test_non_automorphism_fails_factorization(prod22):
     with pytest.raises(FactorizationError) as exc:
         seplat.factor_automorphism(prod22, Automorphism(tuple(perm)))
     assert "column images" in exc.value.step
+
+
+def test_non_bijective_extracted_map_fails_factorization(prod22):
+    # a mask map (not a permutation) sending every row onto row 0
+    rows = {prod22.row(i) for i in range(4)}
+
+    def collapse(mask):
+        return prod22.row(0) if mask in rows else mask
+
+    with pytest.raises(FactorizationError) as exc:
+        seplat.factor_automorphism(prod22, collapse)
+    assert exc.value.step == "left map is a factor automorphism"
+    assert exc.value.witness == (0, 0, 0, 0)
 
 
 # -- orthocomplementation search ----------------------------------------------
@@ -182,17 +203,26 @@ def test_isomorphic_reflexive_and_symmetric(mo2, prod23):
     assert seplat.isomorphic(prod23.base, prod23.base) is not None
 
 
-def test_isomorphic_on_a_relabelled_copy(mo2):
-    lat = mo2[0]
-    relabel = (2, 0, 3, 1)
-    tables = {1 << i: 1 << relabel[i] for i in range(4)}
+@pytest.mark.parametrize(
+    "make,relabel",
+    [
+        (lambda: seplat.build_mo(2)[0], (2, 0, 3, 1)),
+        (lambda: seplat.build_boolean(3)[0], (2, 0, 1)),
+        (lambda: seplat.build_subspace_lattice(2, 3), (6, 0, 5, 1, 4, 2, 3)),
+    ],
+    ids=["mo2", "b3", "gf2_3"],
+)
+def test_isomorphic_on_a_relabelled_copy(make, relabel):
+    lat = make()
+    n = lat.atom_count
+    tables = {1 << i: 1 << relabel[i] for i in range(n)}
     fam = []
     for s in lat.closed_sets:
         m = 0
         for a in atoms_of(s):
             m |= tables[1 << a]
         fam.append(m)
-    other = Lattice.from_closed_family(4, fam)
+    other = Lattice.from_closed_family(n, fam)
     perm = seplat.isomorphic(lat, other)
     assert perm is not None
     # the witness carries the family onto the other family
