@@ -4,7 +4,9 @@
 Both implementations are imported directly (bypassing the dispatch layer),
 so the comparison is unaffected by SEPLAT_FORCE_PURE.  Each kernel runs on
 an identical deterministic workload; the table reports best-of-N wall time
-per backend and the resulting speedup.
+per backend and the resulting speedup.  The last row is the traffic the
+library sends: axiom P4 on MO(2)xMO(3), one check per pair map against
+the product's meet-irreducibles.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat N]
@@ -16,6 +18,7 @@ import argparse
 import random
 import time
 
+import seplat
 from seplat._kernels import pure
 
 try:
@@ -70,6 +73,16 @@ def family_workload() -> tuple[tuple[int, ...], list[int], int]:
     return rotation, sorted(family), n
 
 
+def p4_workload() -> tuple[list[tuple[int, ...]], tuple[int, ...], int]:
+    """The pair maps (u1, u2) of Aut(MO(2)) x Aut(MO(3)) acting on the
+    atoms of the sharp product, and the product's meet-irreducibles."""
+    (l2, o2), (l3, o3) = seplat.build_mo(2), seplat.build_mo(3)
+    prod = seplat.aerts_product_sharp(l2, o2, l3, o3)
+    t2, t3 = seplat.enumerate_automorphisms(l2), seplat.enumerate_automorphisms(l3)
+    perms = [u.perm for u in seplat.induced_pair_group(prod, t2, t3)]
+    return perms, prod.base.meet_irreducibles(), prod.base.atom_count
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -81,6 +94,7 @@ def main() -> None:
     family_size = len(pure.close_under_intersection(seeds, universe))
     perms, n_sweep = invariant_workload()
     perm, family, n_fam = family_workload()
+    pair_maps, irreducibles, n_prod = p4_workload()
 
     rows = [
         (
@@ -94,6 +108,11 @@ def main() -> None:
         (
             f"family_preserved ({len(family)} sets, {n_fam} atoms, x50)",
             lambda mod: [mod.family_preserved(perm, family, n_fam) for _ in range(50)],
+        ),
+        (
+            f"family_preserved ({len(irreducibles)} meet-irreducibles, {n_prod} atoms,"
+            f" {len(pair_maps)} P4 maps)",
+            lambda mod: [mod.family_preserved(p, irreducibles, n_prod) for p in pair_maps],
         ),
     ]
 

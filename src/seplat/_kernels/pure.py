@@ -2,7 +2,15 @@
 
 These are the reference implementations of the hot loops; the compiled
 twin in _speedups.pyx has identical signatures and semantics.  Masks are
-plain ints over at most 64 atom bits.
+plain ints; the compiled twin limits them to 64 atom bits.
+
+`family_preserved` and `invariant_subsets` map a mask through the list
+of atom images, one set bit at a time, so a call costs what its masks
+hold rather than a table per permutation: callers check automorphisms on
+a lattice's few meet-irreducibles, and the invariant-subset sweep drops
+masks after the first permutations.  The per-byte tables of
+`_mask_action` serve one permutation applied to many masks (an
+`Automorphism`).
 """
 
 from __future__ import annotations
@@ -32,30 +40,26 @@ def close_under_intersection(seeds: Iterable[int], universe: int) -> list[int]:
     return sorted(found)
 
 
-def _byte_tables(perm: Sequence[int], n_atoms: int) -> list[list[int]]:
+def _byte_tables(perm: Sequence[int]) -> list[list[int]]:
     """Per-byte lookup tables for applying an atom permutation to a mask.
 
-    tables[c][b] is the image of byte value b placed at chunk c.  Built by
-    dynamic programming on the lowest set bit, so construction is O(256)
-    per chunk."""
-    n_chunks = (n_atoms + 7) // 8
+    tables[c][b] is the image of byte value b placed at chunk c.  Each
+    table is built by doubling, one atom at a time; the last one repeats
+    to 256 entries, so bits past the last atom map to nothing."""
     tables = []
-    for c in range(n_chunks):
-        base = 8 * c
-        tab = [0] * 256
-        for b in range(1, 256):
-            low = b & -b
-            atom = base + low.bit_length() - 1
-            img = 1 << perm[atom] if atom < n_atoms else 0
-            tab[b] = tab[b ^ low] | img
-        tables.append(tab)
+    for base in range(0, len(perm), 8):
+        tab = [0]
+        for p in perm[base : base + 8]:
+            img = 1 << p
+            tab += [t | img for t in tab]
+        tables.append(tab * (256 // len(tab)))
     return tables
 
 
 def _mask_action(perm: Sequence[int]):
     """The mask action of an atom permutation: a function sending an atom
     mask to the mask of its image."""
-    tables = _byte_tables(perm, len(perm))
+    tables = _byte_tables(perm)
 
     def act(mask: int) -> int:
         img = 0
@@ -74,48 +78,51 @@ def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]
 
     The condition says each permutation either maps A into itself (hence,
     bijectivity, onto itself) or clean off itself.  Exhaustive sweep over
-    2**n_atoms − 1 masks; identity permutations are skipped since they
-    satisfy the condition for every A.
-
-    The byte loop of `_mask_action` is inlined here and in
-    `family_preserved`: these two sweeps touch millions of masks per
-    certification, and a function call per mask would dominate them."""
-    tablist = [
-        _byte_tables(p, n_atoms) for p in perms if any(p[i] != i for i in range(n_atoms))
-    ]
-    out = []
-    for a in range(1, 1 << n_atoms):
-        ok = True
-        for tables in tablist:
-            img = 0
-            m = a
-            c = 0
-            while m:
-                img |= tables[c][m & 0xFF]
-                m >>= 8
-                c += 1
-            overlap = img & a
-            if overlap != img and overlap != 0:
-                ok = False
-                break
-        if ok:
-            out.append(a)
-    return out
+    2**n_atoms − 1 masks, filtered one permutation at a time, so each
+    permutation only sees the masks every earlier one let through;
+    identity permutations are skipped since they satisfy the condition
+    for every A.  The first permutation sees every mask, so the images
+    of all masks are built at once by doubling, one atom at a time."""
+    survivors = None
+    for perm in perms:
+        if all(perm[i] == i for i in range(n_atoms)):
+            continue
+        if survivors is None:
+            imgs = [0]
+            for p in perm:
+                bit = 1 << p
+                imgs += [t | bit for t in imgs]
+            survivors = [
+                a for a in range(1, 1 << n_atoms) if (imgs[a] & a) in (imgs[a], 0)
+            ]
+        else:
+            imgs = [1 << p for p in perm]
+            keep = []
+            for a in survivors:
+                img = 0
+                m = a
+                while m:
+                    low = m & -m
+                    img |= imgs[low.bit_length() - 1]
+                    m ^= low
+                overlap = img & a
+                if overlap == img or overlap == 0:
+                    keep.append(a)
+            survivors = keep
+    return list(range(1, 1 << n_atoms)) if survivors is None else survivors
 
 
 def family_preserved(perm: Sequence[int], family: Sequence[int], n_atoms: int) -> bool:
     """True iff the atom permutation maps every member of `family` to a
     member of `family`."""
-    tables = _byte_tables(perm, n_atoms)
+    imgs = [1 << p for p in perm]
     members = set(family)
     for mask in family:
         img = 0
-        m = mask
-        c = 0
-        while m:
-            img |= tables[c][m & 0xFF]
-            m >>= 8
-            c += 1
+        while mask:
+            low = mask & -mask
+            img |= imgs[low.bit_length() - 1]
+            mask ^= low
         if img not in members:
             return False
     return True

@@ -336,7 +336,9 @@ def check_sproduct(
     P2: that atom lies under h1(a1) v h2(a2) iff p1 <= a1 or p2 <= a2.
     P3: laterally connected with respect to the coverings.
     P4: every pair of factor automorphisms from t1 x t2 induces an atom
-        permutation of the base that preserves the closed family.
+        permutation of the base that preserves the closed family, checked
+        on the base's meet-irreducibles, which the permutation must map
+        into themselves (equivalent; see `Lattice.meet_irreducibles`).
     P5: the atoms of the base are exactly the embedded atom meets.
     """
     base, left, right = product.base, product.left, product.right
@@ -381,7 +383,7 @@ def check_sproduct(
 
     p4 = CheckReport("P4")
     n1, n2 = left.atom_count, right.atom_count
-    fam = base.closed_sets
+    fam = base.meet_irreducibles()
     for u1 in t1:
         for u2 in t2:
             pair_perm = _pair_perm(u1, u2, n1, n2)

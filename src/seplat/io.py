@@ -18,7 +18,7 @@ from .bitset import atoms_of, mask_of
 from .errors import ValidationError
 from .lattice import Lattice
 from .ortho import OrthoMap, validate_ortho
-from .product import ProductLattice
+from .product import ProductLattice, _rect
 
 
 @dataclass
@@ -147,7 +147,10 @@ def load_lattice_file(path: str) -> tuple[Lattice, Optional[OrthoMap]]:
 def load_product(
     product_path: str, left_path: str, right_path: str
 ) -> ProductLattice:
-    """Reattach a product document to its factor documents."""
+    """Reattach a product document to its factor documents.
+
+    The embeddings must be the rectangle maps a1 -> A(a1) x A(L2) and
+    a2 -> A(L1) x A(a2) that both product routes build."""
     doc = load_document(product_path)
     base, ortho = doc.build()
     left, _ = load_lattice_file(left_path)
@@ -165,8 +168,9 @@ def load_product(
         )
     # the indices point into the document's own closed_sets order
     order = [mask_of(s) for s in doc.closed_sets]
+    n2 = right.atom_count
 
-    def embedding(key: str, factor: Lattice) -> dict[int, int]:
+    def embedding(key: str, factor: Lattice, rect) -> dict[int, int]:
         indices = meta.get(key)
         if not isinstance(indices, list) or len(indices) != len(factor.closed_sets):
             raise ValidationError(f"product document carries {key}", indices)
@@ -174,6 +178,10 @@ def load_product(
         for src, dst in zip(factor.closed_sets, indices):
             if not isinstance(dst, int) or not 0 <= dst < len(order):
                 raise ValidationError(f"{key} indices in range", dst)
+            if order[dst] != rect(src):
+                raise ValidationError(
+                    f"{key} is the rectangle embedding", (atoms_of(src), dst)
+                )
             out[src] = order[dst]
         return out
 
@@ -181,8 +189,8 @@ def load_product(
         base=base,
         left=left,
         right=right,
-        h1=embedding("h1", left),
-        h2=embedding("h2", right),
+        h1=embedding("h1", left, lambda a1: _rect(a1, right.top, n2)),
+        h2=embedding("h2", right, lambda a2: _rect(left.top, a2, n2)),
         route=meta.get("route", "external"),
         ortho=ortho,
     )

@@ -32,7 +32,14 @@ class Lattice:
     not validate.
     """
 
-    __slots__ = ("atom_count", "closed_sets", "atom_labels", "_index", "_covers")
+    __slots__ = (
+        "atom_count",
+        "closed_sets",
+        "atom_labels",
+        "_index",
+        "_covers",
+        "_meet_irreducibles",
+    )
 
     def __init__(
         self,
@@ -49,6 +56,7 @@ class Lattice:
         self.atom_labels = atom_labels
         self._index = {m: i for i, m in enumerate(self.closed_sets)}
         self._covers = None
+        self._meet_irreducibles = None
 
     # -- construction -------------------------------------------------
 
@@ -230,6 +238,45 @@ class Lattice:
                 out.extend((x, y) for y in minimal)
             self._covers = tuple(out)
         return self._covers
+
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """The members other than top that are not the intersection of
+        their strict supersets (those with exactly one upper cover), in
+        family order.
+
+        They determine the lattice: every member is the intersection of
+        the meet-irreducibles above it.  (Top is the empty intersection; a
+        member that is not meet-irreducible is the intersection of its
+        strict supersets, each of which is such an intersection already.)
+        So a bijection u from these atoms onto the atoms of a lattice M,
+        which keeps intersections and top, sends every member into M
+        exactly when it sends every meet-irreducible into M, as M is
+        closed under intersection; u is injective on masks, so it then
+        maps the family onto M when M has as many members.  In particular
+        an atom permutation preserves the family exactly when it maps the
+        meet-irreducibles into themselves: if it does, the family maps
+        onto itself, and conversely an automorphism keeps the order, so it
+        maps meet-irreducibles to meet-irreducibles.
+
+        Computed in one pass in descending popcount order: a member is
+        meet-irreducible exactly when the meet-irreducibles found before
+        it that contain it do not intersect to it.  Cost O(N·|MI|).
+        """
+        if self._meet_irreducibles is None:
+            top = self.top
+            found: list[int] = []
+            for x in sorted(self.closed_sets, key=popcount, reverse=True):
+                acc = top
+                for m in found:
+                    if x & ~m == 0:
+                        acc &= m
+                if acc != x:
+                    found.append(x)
+            keep = set(found)
+            self._meet_irreducibles = tuple(
+                s for s in self.closed_sets if s in keep
+            )
+        return self._meet_irreducibles
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
         self.require(x)

@@ -100,14 +100,15 @@ def enumerate_automorphisms(
     lattice: Lattice, atom_cap: int = AUTOMORPHISM_ATOM_CAP
 ) -> AutoGroup:
     """All atom permutations preserving the closed family, by backtracking
-    with pair-count pruning.  Members come out in lexicographic order of
-    their permutation tuples."""
+    with pair-count pruning; each complete map is checked on the
+    meet-irreducibles (see `Lattice.meet_irreducibles`).  Members come out
+    in lexicographic order of their permutation tuples."""
     n = lattice.atom_count
     if n > atom_cap:
         raise SizeCapError(
             f"automorphism search over {n} atoms exceeds cap {atom_cap}"
         )
-    fam = lattice.closed_sets
+    fam = lattice.meet_irreducibles()
     found: list[Automorphism] = []
 
     def leaf(perm: tuple[int, ...]) -> bool:
@@ -193,7 +194,9 @@ def factor_automorphism(
         if sorted(amap) != list(range(dst.atom_count)):
             raise FactorizationError(step, amap)
         u = Automorphism(amap)
-        if any(u(s) not in dst for s in src.closed_sets):
+        # every member lands in dst iff the meet-irreducibles do: see
+        # Lattice.meet_irreducibles
+        if any(u(s) not in dst for s in src.meet_irreducibles()):
             raise FactorizationError(step, amap)
     for i in range(n1):
         for j in range(n2):
@@ -277,7 +280,9 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
 
     Quick invariants (atom count, family size, member size histogram) are
     checked first; the backtracking uses the pair-count tables of both
-    lattices for pruning and verifies the full family mapping at the leaf.
+    lattices for pruning and, at the leaf, checks that the meet-irreducibles
+    of `a` land in `b`, which with equal family sizes means the whole
+    family maps onto `b` (see `Lattice.meet_irreducibles`).
     """
     if a.atom_count != b.atom_count or len(a) != len(b):
         return None
@@ -291,7 +296,7 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
 
     def leaf(perm: tuple[int, ...]) -> bool:
         u = Automorphism(perm)
-        if any(u(s) not in b for s in a.closed_sets):
+        if any(u(s) not in b for s in a.meet_irreducibles()):
             return False
         out.append(perm)
         return True

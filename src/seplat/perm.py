@@ -51,6 +51,10 @@ class Automorphism:
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
+        if len(other.perm) != len(self.perm):
+            raise ValidationError(
+                "composed permutations act on the same atoms", (self.perm, other.perm)
+            )
         return Automorphism(tuple(self.perm[p] for p in other.perm))
 
     def inverse(self) -> "Automorphism":
@@ -61,11 +65,12 @@ class Automorphism:
 
     def preserves(self, lattice: Lattice) -> bool:
         """True iff the induced mask action carries the closed family onto
-        itself."""
+        itself, checked on its meet-irreducibles (see
+        `Lattice.meet_irreducibles`)."""
         if len(self.perm) != lattice.atom_count:
             return False
         return _kernels.family_preserved(
-            self.perm, lattice.closed_sets, lattice.atom_count
+            self.perm, lattice.meet_irreducibles(), lattice.atom_count
         )
 
 
@@ -74,7 +79,8 @@ class AutoGroup:
 
     `verify_group` checks closure under composition and inverse plus the
     identity; enumeration output is flagged verified without the quadratic
-    recheck since backtracking returns the full automorphism group.
+    recheck since backtracking returns the full automorphism group.  Every
+    member must permute exactly the lattice's atoms.
     """
 
     __slots__ = ("lattice", "members")
@@ -82,6 +88,11 @@ class AutoGroup:
     def __init__(self, lattice: Lattice, members: Iterable[Automorphism]):
         self.lattice = lattice
         self.members = tuple(members)
+        for u in self.members:
+            if len(u.perm) != lattice.atom_count:
+                raise ValidationError(
+                    "group members permute the lattice's atoms", u.perm
+                )
 
     @classmethod
     def identity_only(cls, lattice: Lattice) -> "AutoGroup":

@@ -105,6 +105,17 @@ def brute_join(fam: set[frozenset[int]], xs) -> frozenset[int]:
     return acc
 
 
+def meet_irreducibles(fam: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Members with exactly one upper cover."""
+    out = set()
+    for x in fam:
+        above = [y for y in fam if x < y]
+        covers = [y for y in above if not any(z < y for z in above)]
+        if len(covers) == 1:
+            out.add(x)
+    return out
+
+
 def brute_automorphisms(fam: set[frozenset[int]], n_atoms: int):
     """All atom permutations carrying the family onto itself, by checking
     every permutation (n_atoms <= 8)."""

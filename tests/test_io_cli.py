@@ -285,6 +285,20 @@ def test_cli_rejects_embedding_index_out_of_range(tmp_path, docs, capsys, key, i
     assert f"{key} indices in range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["h1", "h2"])
+def test_cli_rejects_wrong_embedding_index_in_range(tmp_path, docs, capsys, key):
+    data = json.load(open(docs["prod"]))
+    data["meta"][key][1] = data["meta"][key][2]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(data, fh)
+    code = main(["sproduct-check", bad, docs["mo2"], docs["mo2"], "--T", "id"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{key} is the rectangle embedding" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_load_product_reads_indices_in_document_order(tmp_path, docs, capsys):
     # generator-route documents carry no orthocomplementation, so nothing
     # forces their closed_sets into canonical order

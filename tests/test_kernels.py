@@ -2,6 +2,9 @@
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,15 +119,21 @@ def test_byte_table_application(data):
 # -- invariant (block-condition) subsets ---------------------------------
 
 
+def _perm_lists(n):
+    """Up to 12 permutations of range(n), the identity among the draws,
+    with repeats: a list is followed by a copy of its first half."""
+    one = st.one_of(st.just(tuple(range(n))), st.permutations(range(n)).map(tuple))
+    return st.lists(one, max_size=8).flatmap(
+        lambda ps: st.permutations(ps + ps[: len(ps) // 2])
+    )
+
+
 @given(
     st.integers(min_value=1, max_value=8).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.permutations(range(n)), min_size=0, max_size=4),
-        )
+        lambda n: st.tuples(st.just(n), _perm_lists(n))
     )
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_invariant_subsets_match_brute_force(data):
     n, perms = data
     perms = [tuple(p) for p in perms]
@@ -190,6 +199,21 @@ def test_dispatch_handles_wide_universes():
     assert _kernels.family_preserved(
         tuple(range(70)), fam, 70
     )
+
+
+def test_kernel_benchmark_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=600,
+        check=True,
+    ).stdout
+    assert "family_preserved (24 meet-irreducibles, 24 atoms, 17280 P4 maps)" in out
+    assert ("pure backend only" in out) == (compiled is None)
 
 
 def test_backend_reported():

@@ -2,17 +2,19 @@
 order isomorphism, and the product characterization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seplat
-from seplat import Lattice
-from seplat.bitset import atoms_of, full_mask
+from seplat import Lattice, _kernels
+from seplat.bitset import atoms_of, full_mask, mask_of
 from seplat.errors import (
     CharacterizationError,
     FactorizationError,
     SizeCapError,
     ValidationError,
 )
-from seplat.perm import Automorphism
+from seplat.perm import Automorphism, AutoGroup
 
 import oracles
 
@@ -70,6 +72,94 @@ def test_automorphism_rejects_non_permutations():
         with pytest.raises(ValidationError) as exc:
             Automorphism(perm)
         assert exc.value.law == "automorphism is a permutation of the atoms"
+
+
+def test_compose_rejects_mismatched_lengths():
+    with pytest.raises(ValidationError) as exc:
+        Automorphism((1, 0)).compose(Automorphism((0, 1, 2)))
+    assert exc.value.law == "composed permutations act on the same atoms"
+
+
+def test_group_rejects_members_of_another_length(mo2):
+    with pytest.raises(ValidationError) as exc:
+        AutoGroup(mo2[0], (Automorphism.identity(4), Automorphism.identity(3)))
+    assert exc.value.law == "group members permute the lattice's atoms"
+    assert exc.value.witness == (0, 1, 2)
+
+
+# -- meet-irreducibles and family preservation ------------------------------
+
+
+@st.composite
+def complete_lattices(draw, max_atoms=10):
+    """Lattices closed under intersection from a few random seed sets."""
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    return Lattice.from_closed_family(n, seeds, mode="complete")
+
+
+def _relabel(mask, sigma):
+    return mask_of(sigma[a] for a in atoms_of(mask))
+
+
+@given(complete_lattices())
+@settings(max_examples=150, deadline=None)
+def test_meet_irreducibles_match_the_oracle(lat):
+    got = lat.meet_irreducibles()
+    assert got == tuple(s for s in lat.closed_sets if s in set(got))  # family order
+    want = oracles.meet_irreducibles(family_as_sets(lat))
+    assert {frozenset(atoms_of(m)) for m in got} == want
+    ups = {}
+    for x, _ in lat.covers():
+        ups[x] = ups.get(x, 0) + 1
+    assert set(got) == {x for x, k in ups.items() if k == 1}
+
+
+def test_meet_irreducibles_of_products(prod23):
+    assert (len(prod23.base), len(prod23.base.meet_irreducibles())) == (240, 24)
+    g = seplat.build_subspace_lattice(2, 3)
+    prod = seplat.aerts_product_general(g, seplat.build_mo(2)[0])
+    assert (len(prod.base), len(prod.base.meet_irreducibles())) == (1728, 28)
+
+
+@given(complete_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_family_preserved_on_meet_irreducibles_matches_the_family(lat, rnd):
+    n = lat.atom_count
+    perms = []
+    for _ in range(12):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        perms.append(tuple(perm))
+    if n <= 7:  # every automorphism found, and the random maps after one
+        found = [u.perm for u in seplat.enumerate_automorphisms(lat)]
+        perms += found
+        perms += [tuple(p[q] for q in rnd.choice(found)) for p in perms[:12]]
+    mi, fam = lat.meet_irreducibles(), lat.closed_sets
+    for perm in perms:
+        want = _kernels.family_preserved(perm, fam, n)
+        assert _kernels.family_preserved(perm, mi, n) == want
+        assert Automorphism(perm).preserves(lat) == want
+
+
+@given(complete_lattices(max_atoms=6))
+@settings(max_examples=100, deadline=None)
+def test_automorphisms_of_random_lattices_match_brute_force(lat):
+    group = seplat.enumerate_automorphisms(lat)
+    brute = oracles.brute_automorphisms(family_as_sets(lat), lat.atom_count)
+    assert [u.perm for u in group] == brute
+
+
+@given(complete_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_isomorphic_finds_random_relabelled_copies(lat, rnd):
+    n = lat.atom_count
+    sigma = list(range(n))
+    rnd.shuffle(sigma)
+    other = Lattice.from_closed_family(n, [_relabel(s, sigma) for s in lat.closed_sets])
+    perm = seplat.isomorphic(lat, other)
+    assert perm is not None
+    assert {_relabel(s, perm) for s in lat.closed_sets} == set(other.closed_sets)
 
 
 # -- factorization over a product --------------------------------------------
