@@ -4,13 +4,12 @@ These are the reference implementations of the hot loops; the compiled
 twin in _speedups.pyx has identical signatures and semantics.  Masks are
 plain ints; the compiled twin limits them to 64 atom bits.
 
-`family_preserved` and `invariant_subsets` map a mask through the list
-of atom images, one set bit at a time, so a call costs what its masks
-hold rather than a table per permutation: callers check automorphisms on
-a lattice's few meet-irreducibles, and the invariant-subset sweep drops
-masks after the first permutations.  The per-byte tables of
-`_mask_action` serve one permutation applied to many masks (an
-`Automorphism`).
+Every kernel that applies a permutation goes through `_mask_action`,
+which maps a mask through the list of atom images one set bit at a
+time, so a call costs what its masks hold rather than a lookup table per
+permutation: callers check automorphisms on a lattice's few
+meet-irreducibles, and the invariant-subset sweep drops masks after the
+first permutations.
 """
 
 from __future__ import annotations
@@ -40,34 +39,18 @@ def close_under_intersection(seeds: Iterable[int], universe: int) -> list[int]:
     return sorted(found)
 
 
-def _byte_tables(perm: Sequence[int]) -> list[list[int]]:
-    """Per-byte lookup tables for applying an atom permutation to a mask.
-
-    tables[c][b] is the image of byte value b placed at chunk c.  Each
-    table is built by doubling, one atom at a time; the last one repeats
-    to 256 entries, so bits past the last atom map to nothing."""
-    tables = []
-    for base in range(0, len(perm), 8):
-        tab = [0]
-        for p in perm[base : base + 8]:
-            img = 1 << p
-            tab += [t | img for t in tab]
-        tables.append(tab * (256 // len(tab)))
-    return tables
-
-
 def _mask_action(perm: Sequence[int]):
     """The mask action of an atom permutation: a function sending an atom
-    mask to the mask of its image."""
-    tables = _byte_tables(perm)
+    mask to the mask of its image, built from the list of atom images and
+    applied one set bit at a time."""
+    imgs = [1 << p for p in perm]
 
     def act(mask: int) -> int:
         img = 0
-        c = 0
         while mask:
-            img |= tables[c][mask & 0xFF]
-            mask >>= 8
-            c += 1
+            low = mask & -mask
+            img |= imgs[low.bit_length() - 1]
+            mask ^= low
         return img
 
     return act
@@ -81,48 +64,22 @@ def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]
     2**n_atoms − 1 masks, filtered one permutation at a time, so each
     permutation only sees the masks every earlier one let through;
     identity permutations are skipped since they satisfy the condition
-    for every A.  The first permutation sees every mask, so the images
-    of all masks are built at once by doubling, one atom at a time."""
-    survivors = None
+    for every A."""
+    survivors = range(1, 1 << n_atoms)
     for perm in perms:
         if all(perm[i] == i for i in range(n_atoms)):
             continue
-        if survivors is None:
-            imgs = [0]
-            for p in perm:
-                bit = 1 << p
-                imgs += [t | bit for t in imgs]
-            survivors = [
-                a for a in range(1, 1 << n_atoms) if (imgs[a] & a) in (imgs[a], 0)
-            ]
-        else:
-            imgs = [1 << p for p in perm]
-            keep = []
-            for a in survivors:
-                img = 0
-                m = a
-                while m:
-                    low = m & -m
-                    img |= imgs[low.bit_length() - 1]
-                    m ^= low
-                overlap = img & a
-                if overlap == img or overlap == 0:
-                    keep.append(a)
-            survivors = keep
-    return list(range(1, 1 << n_atoms)) if survivors is None else survivors
+        act = _mask_action(perm)
+        survivors = [a for a in survivors if ((img := act(a)) & a) in (img, 0)]
+    return list(survivors)
 
 
 def family_preserved(perm: Sequence[int], family: Sequence[int], n_atoms: int) -> bool:
     """True iff the atom permutation maps every member of `family` to a
-    member of `family`."""
-    imgs = [1 << p for p in perm]
+    member of `family`.  Members hold atoms below `n_atoms`; any other
+    atom maps to nothing, as it does in the compiled twin within its last
+    byte chunk."""
+    act = _mask_action(perm)
+    full = (1 << n_atoms) - 1
     members = set(family)
-    for mask in family:
-        img = 0
-        while mask:
-            low = mask & -mask
-            img |= imgs[low.bit_length() - 1]
-            mask ^= low
-        if img not in members:
-            return False
-    return True
+    return all(act(mask & full) in members for mask in family)

@@ -18,7 +18,7 @@ from .bitset import atoms_of, mask_of
 from .errors import ValidationError
 from .lattice import Lattice
 from .ortho import OrthoMap, validate_ortho
-from .product import ProductLattice, _rect
+from .product import ProductLattice, _attach_embeddings
 
 
 @dataclass
@@ -166,34 +166,30 @@ def load_product(
             "factor atom counts match the product document",
             (meta.get("left_atoms"), meta.get("right_atoms")),
         )
-    # the indices point into the document's own closed_sets order
-    order = [mask_of(s) for s in doc.closed_sets]
-    n2 = right.atom_count
-
-    def embedding(key: str, factor: Lattice, rect) -> dict[int, int]:
-        indices = meta.get(key)
-        if not isinstance(indices, list) or len(indices) != len(factor.closed_sets):
-            raise ValidationError(f"product document carries {key}", indices)
-        out = {}
-        for src, dst in zip(factor.closed_sets, indices):
-            if not isinstance(dst, int) or not 0 <= dst < len(order):
-                raise ValidationError(f"{key} indices in range", dst)
-            if order[dst] != rect(src):
-                raise ValidationError(
-                    f"{key} is the rectangle embedding", (atoms_of(src), dst)
-                )
-            out[src] = order[dst]
-        return out
-
-    return ProductLattice(
+    prod = ProductLattice(
         base=base,
         left=left,
         right=right,
-        h1=embedding("h1", left, lambda a1: _rect(a1, right.top, n2)),
-        h2=embedding("h2", right, lambda a2: _rect(left.top, a2, n2)),
+        h1={},
+        h2={},
         route=meta.get("route", "external"),
         ortho=ortho,
     )
+    _attach_embeddings(prod)
+    # the indices point into the document's own closed_sets order
+    order = [mask_of(s) for s in doc.closed_sets]
+    for key, factor, emb in (("h1", left, prod.h1), ("h2", right, prod.h2)):
+        indices = meta.get(key)
+        if not isinstance(indices, list) or len(indices) != len(factor.closed_sets):
+            raise ValidationError(f"product document carries {key}", indices)
+        for src, dst in zip(factor.closed_sets, indices):
+            if not isinstance(dst, int) or not 0 <= dst < len(order):
+                raise ValidationError(f"{key} indices in range", dst)
+            if order[dst] != emb[src]:
+                raise ValidationError(
+                    f"{key} is the rectangle embedding", (atoms_of(src), dst)
+                )
+    return prod
 
 
 def to_dot(lattice: Lattice, name: str = "lattice") -> str:

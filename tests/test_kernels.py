@@ -185,6 +185,13 @@ def test_family_preserved_agreement(data):
         assert compiled.family_preserved(perm, family, n) == want
 
 
+def test_family_preserved_drops_atoms_past_n_atoms():
+    # atom 2 lies past n_atoms = 2, so {0, 2} maps to {1} under the swap
+    for mod in (pure, compiled) if compiled is not None else (pure,):
+        assert mod.family_preserved((1, 0), [0b001, 0b010, 0b101], 2)
+        assert not mod.family_preserved((1, 0), [0b010, 0b101], 2)
+
+
 # -- dispatching wrappers --------------------------------------------------
 
 
