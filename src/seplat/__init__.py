@@ -23,7 +23,7 @@ from .axioms import (
     strongly_transitive,
     weakly_connected,
 )
-from .bitset import MAX_ATOMS, atoms_of, mask_of, popcount
+from .bitset import atoms_of, mask_of, popcount
 from .builders import (
     LatticeSpec,
     build_boolean,
@@ -81,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "MAX_ATOMS",
     "Automorphism",
     "AutoGroup",
     "AtomOrthogonality",

@@ -1,8 +1,6 @@
-"""Pure-Python kernels.
+"""The hot loops over atom masks.
 
-These are the reference implementations of the hot loops; the compiled
-twin in _speedups.pyx has identical signatures and semantics.  Masks are
-plain ints; the compiled twin limits them to 64 atom bits.
+Masks are plain ints, so the kernels take any atom count.
 
 Every kernel that applies a permutation goes through `_mask_action`,
 which maps a mask through the list of atom images one set bit at a
@@ -77,8 +75,7 @@ def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]
 def family_preserved(perm: Sequence[int], family: Sequence[int], n_atoms: int) -> bool:
     """True iff the atom permutation maps every member of `family` to a
     member of `family`.  Members hold atoms below `n_atoms`; any other
-    atom maps to nothing, as it does in the compiled twin within its last
-    byte chunk."""
+    atom maps to nothing."""
     act = _mask_action(perm)
     full = (1 << n_atoms) - 1
     members = set(family)

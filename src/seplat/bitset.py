@@ -2,16 +2,13 @@
 
 Every element of a finite atomistic lattice is identified with its set of
 atoms, stored as a Python int with bit i set iff atom i belongs to the set.
-Meets of closed sets are then plain bitwise ANDs.  Constructors cap the
-atom count at 64 so masks stay within one machine word in the compiled
-kernels.
+Meets of closed sets are then plain bitwise ANDs.  Python ints are
+unbounded, so no atom count is too wide for a mask.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
-
-MAX_ATOMS = 64
 
 
 def mask_of(atoms: Iterable[int]) -> int:

@@ -13,14 +13,13 @@ from typing import Iterable, Optional, Sequence
 
 from . import _kernels
 from .bitset import (
-    MAX_ATOMS,
     atoms_of,
     canonical_family,
     full_mask,
     is_subset,
     popcount,
 )
-from .errors import ForeignElementError, SizeCapError, ValidationError
+from .errors import ForeignElementError, ValidationError
 
 
 class Lattice:
@@ -67,7 +66,6 @@ class Lattice:
         sets: Iterable[int],
         mode: str = "validate",
         atom_labels: Optional[Sequence[str]] = None,
-        atom_cap: int = MAX_ATOMS,
     ) -> "Lattice":
         """Build a lattice from a family of atom-set masks.
 
@@ -79,11 +77,6 @@ class Lattice:
         """
         if atom_count < 0:
             raise ValidationError("atom count is nonnegative", atom_count)
-        if atom_count > atom_cap:
-            raise SizeCapError(
-                f"atom count {atom_count} exceeds cap {atom_cap}; "
-                "raise atom_cap explicitly to proceed"
-            )
         masks = list(sets)
         if mode not in ("validate", "complete"):
             raise ValueError(f"unknown mode: {mode!r}")

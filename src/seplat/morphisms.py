@@ -411,9 +411,7 @@ def characterize(
         )
     steps.append("delta-bijection")
 
-    generated = aerts_product_general(
-        left, right, atom_cap=max(64, left.atom_count * right.atom_count)
-    )
+    generated = aerts_product_general(left, right)
     join_q = {
         x: generated.base.join((generated.h1[x[0]], generated.h2[x[1]]))
         for x in xi_pairs
@@ -485,13 +483,7 @@ def characterize(
     steps.append("induced-orthocomplementations")
 
     if rebuild_check:
-        sharp = aerts_product_sharp(
-            left,
-            induced_left,
-            right,
-            induced_right,
-            atom_cap=max(64, n1 * n2),
-        )
+        sharp = aerts_product_sharp(left, induced_left, right, induced_right)
         if sharp.base.closed_sets != generated.base.closed_sets:
             raise CharacterizationError(
                 "route-agreement",

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import _kernels
-from .bitset import MAX_ATOMS, atoms_of, full_mask, is_subset, iter_atoms
-from .errors import SizeCapError, ValidationError
+from .bitset import atoms_of, full_mask, is_subset, iter_atoms
+from .errors import ValidationError
 from .lattice import Lattice
 from .ortho import AtomOrthogonality, OrthoMap, closure_from_orthogonality
 
@@ -126,9 +126,7 @@ def _attach_embeddings(prod: ProductLattice) -> None:
         prod.h2[a2] = prod.base.require(prod.rect(prod.left.top, a2))
 
 
-def aerts_product_general(
-    left: Lattice, right: Lattice, atom_cap: int = MAX_ATOMS
-) -> ProductLattice:
+def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
     """Generator route: close the crosses A(a1) x A(L2) u A(L1) x A(a2)
     over all element pairs (a1, a2) under pairwise intersection.
 
@@ -136,8 +134,6 @@ def aerts_product_general(
     (it is the intersection of its row and its column).
     """
     n = left.atom_count * right.atom_count
-    if n > atom_cap:
-        raise SizeCapError(f"product needs {n} pair atoms, cap is {atom_cap}")
     seeds = {
         _cross(left, right, a1, a2)
         for a1 in left.closed_sets
@@ -145,8 +141,7 @@ def aerts_product_general(
     }
     family = _kernels.close_under_intersection(sorted(seeds), full_mask(n))
     base = Lattice.from_closed_family(
-        n, family, mode="validate", atom_labels=_pair_labels(left, right),
-        atom_cap=atom_cap,
+        n, family, mode="validate", atom_labels=_pair_labels(left, right)
     )
     prod = ProductLattice(
         base=base, left=left, right=right, h1={}, h2={}, route="generators"
@@ -179,13 +174,10 @@ def aerts_product_sharp(
     ortho1: OrthoMap,
     right: Lattice,
     ortho2: OrthoMap,
-    atom_cap: int = MAX_ATOMS,
 ) -> ProductLattice:
     """Orthogonality route: biorthogonal closure of the sharp relation.
     The resulting product carries the polar orthocomplementation."""
     n = left.atom_count * right.atom_count
-    if n > atom_cap:
-        raise SizeCapError(f"product needs {n} pair atoms, cap is {atom_cap}")
     rel = sharp_relation(left, ortho1, right, ortho2)
     base, omap = closure_from_orthogonality(
         n, rel, atom_labels=_pair_labels(left, right)

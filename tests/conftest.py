@@ -42,6 +42,18 @@ def prod23(mo2, mo3):
 
 
 @pytest.fixture(scope="session")
+def mo17():
+    return seplat.build_mo(17)
+
+
+@pytest.fixture(scope="session")
+def prod_wide(mo17, mo1):
+    """MO(17) x MO(1) by the sharp route: 68 pair atoms, wider than a
+    machine word."""
+    return seplat.aerts_product_sharp(*mo17, *mo1)
+
+
+@pytest.fixture(scope="session")
 def aut_mo2(mo2):
     return seplat.enumerate_automorphisms(mo2[0])
 

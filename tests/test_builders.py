@@ -50,8 +50,6 @@ def test_mo_distinct_atoms_join_to_top():
 def test_mo_parameter_validation():
     with pytest.raises(ValidationError):
         seplat.build_mo(0)
-    with pytest.raises(SizeCapError):
-        seplat.build_mo(5, atom_cap=8)
 
 
 def test_mo1_is_the_boolean_square():
@@ -174,8 +172,6 @@ def test_subspace_parameter_validation():
         seplat.build_subspace_lattice(7, 2)
     with pytest.raises(ValidationError):
         seplat.build_subspace_lattice(2, 5)
-    with pytest.raises(SizeCapError):
-        seplat.build_subspace_lattice(2, 3, atom_cap=5)
 
 
 def test_gf4_arithmetic_agrees_with_oracle():

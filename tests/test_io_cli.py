@@ -49,6 +49,24 @@ def test_product_roundtrip(tmp_path, mo2, prod22):
     assert back.route == "sharp" and back.ortho == prod22.ortho
 
 
+def test_wide_product_roundtrip_checks_embeddings(tmp_path, prod_wide, mo17, mo1):
+    ppath, lpath, rpath = (str(tmp_path / n) for n in ("p.json", "l.json", "r.json"))
+    io.dump_product(ppath, prod_wide)
+    io.dump_lattice(lpath, *mo17)
+    io.dump_lattice(rpath, *mo1)
+    back = io.load_product(ppath, lpath, rpath)
+    assert back.base.atom_count == 68
+    assert back.base == prod_wide.base and back.ortho == prod_wide.ortho
+    assert back.h1 == prod_wide.h1 and back.h2 == prod_wide.h2
+    with open(ppath) as fh:
+        data = json.load(fh)
+    data["meta"]["h2"][1] = data["meta"]["h2"][2]
+    with open(ppath, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ValidationError, match="h2 is the rectangle embedding"):
+        io.load_product(ppath, lpath, rpath)
+
+
 def test_generator_product_roundtrip_has_no_ortho(tmp_path, mo2):
     prod = seplat.aerts_product_general(mo2[0], mo2[0])
     ppath, fpath = str(tmp_path / "p.json"), str(tmp_path / "f.json")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 import seplat
 from seplat.bitset import atoms_of, mask_of, popcount
-from seplat.errors import ForeignElementError, SizeCapError, ValidationError
+from seplat.errors import ForeignElementError, ValidationError
 from seplat.lattice import Lattice
 
 
@@ -81,9 +81,13 @@ def test_unknown_mode_rejected():
         Lattice.from_closed_family(1, [0, 1], mode="nonsense")
 
 
-def test_atom_cap_enforced():
-    with pytest.raises(SizeCapError):
-        Lattice.from_closed_family(70, [0], mode="complete", atom_cap=64)
+def test_complete_mode_builds_wide_families():
+    # 70 atoms: masks wider than a machine word
+    lat = Lattice.from_closed_family(70, [1 << 69 | 1], mode="complete")
+    assert lat.atom_count == 70
+    assert len(lat) == 73  # bottom, 70 atoms, {0, 69}, top
+    assert lat.join((1, 1 << 69)) == 1 << 69 | 1
+    lat.validate()
 
 
 def test_atom_labels_default_and_custom():

@@ -396,3 +396,16 @@ def test_characterize_skips_hypotheses_on_request(prod22, aut_mo2):
         "order-isomorphism",
         "induced-orthocomplementations",
     ]
+
+
+def test_characterize_past_64_pair_atoms(prod_wide, mo17, mo1):
+    # the sharp rebuild builds a 68-atom product of its own
+    res = seplat.characterize(prod_wide, check_hypotheses=False)
+    assert res.steps == [
+        "delta-bijection",
+        "order-isomorphism",
+        "induced-orthocomplementations",
+        "sharp-rebuild",
+    ]
+    assert res.induced_left == mo17[1]
+    assert res.induced_right == mo1[1]

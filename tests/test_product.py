@@ -8,7 +8,6 @@ import pytest
 import seplat
 from seplat import Lattice
 from seplat.bitset import atoms_of, popcount
-from seplat.errors import SizeCapError
 from seplat.product import obar, otimes
 
 import oracles
@@ -19,7 +18,14 @@ import oracles
 
 @pytest.mark.parametrize(
     "left_name,right_name",
-    [("mo1", "mo1"), ("mo1", "mo2"), ("mo2", "mo2"), ("mo2", "mo3"), ("mo2", "b3")],
+    [
+        ("mo1", "mo1"),
+        ("mo1", "mo2"),
+        ("mo2", "mo2"),
+        ("mo2", "mo3"),
+        ("mo2", "b3"),
+        ("mo17", "mo1"),  # 68 pair atoms
+    ],
 )
 def test_routes_build_the_same_family(left_name, right_name, request):
     l_lat, l_om = request.getfixturevalue(left_name)
@@ -32,7 +38,7 @@ def test_routes_build_the_same_family(left_name, right_name, request):
     assert general.ortho is None and sharp.ortho is not None
 
 
-def test_mo_product_sizes_match_closed_form(prod22, prod23):
+def test_mo_product_sizes_match_closed_form(prod22, prod23, prod_wide):
     assert len(prod22.base.closed_sets) == 114
     assert oracles.expected_mo_product_family_size(4, 4) == 114
     assert len(prod23.base.closed_sets) == 240
@@ -41,6 +47,8 @@ def test_mo_product_sizes_match_closed_form(prod22, prod23):
     prod33 = seplat.aerts_product_sharp(mo3_lat, mo3_om, mo3_lat, mo3_om)
     assert len(prod33.base.closed_sets) == 536
     assert oracles.expected_mo_product_family_size(6, 6) == 536
+    assert len(prod_wide.base.closed_sets) == 1296
+    assert oracles.expected_mo_product_family_size(34, 2) == 1296
 
 
 def test_product_size_is_symmetric(mo2, mo3):
@@ -188,13 +196,6 @@ def test_product_with_trivial_factor_is_the_other_factor(mo2):
     two = seplat.build_two()
     prod = seplat.aerts_product_general(two, mo2[0])
     assert seplat.isomorphic(prod.base, mo2[0]) is not None
-
-
-def test_atom_cap_enforced(mo3):
-    with pytest.raises(SizeCapError):
-        seplat.aerts_product_general(mo3[0], mo3[0], atom_cap=16)
-    with pytest.raises(SizeCapError):
-        seplat.aerts_product_sharp(mo3[0], mo3[1], mo3[0], mo3[1], atom_cap=16)
 
 
 def test_with_ortho_attaches_and_rejects(prod22):
