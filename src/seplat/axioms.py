@@ -10,7 +10,6 @@ treated as a refutation.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -21,8 +20,7 @@ from .lattice import Lattice
 from .perm import Automorphism, AutoGroup
 from .product import CheckReport, ProductLattice, _subset_pools, otimes
 
-TRANSITIVITY_ATOM_CAP = 20
-CLASSIFY_ATOM_CAP = 16
+SWEEP_ATOM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -293,14 +291,12 @@ def _check_embedding_morphism(
     factor: Lattice,
     h: dict,
     side: str,
-    subset_cap: int,
-    samples: int,
-    rng: random.Random,
+    pool: list[tuple[int, ...]],
 ) -> None:
     values = list(h.values())
     report.record(len(set(values)) == len(values), (side, "injective"))
     report.record(set(h.keys()) == set(factor.closed_sets), (side, "total"))
-    for omega in _subset_pools(factor.closed_sets, subset_cap, samples, rng):
+    for omega in pool:
         want_meet = h[factor.meet(omega)]
         got_meet = base.meet([h[x] for x in omega])
         report.record(
@@ -324,9 +320,6 @@ def check_sproduct(
     t2: AutoGroup,
     cov1: Optional[Covering] = None,
     cov2: Optional[Covering] = None,
-    subset_cap: int = 3,
-    samples: int = 20,
-    seed: int = 7,
 ) -> SProductReport:
     """Exhaustive verification of the product axioms.
 
@@ -344,12 +337,12 @@ def check_sproduct(
     base, left, right = product.base, product.left, product.right
     cov1 = cov1 or Covering.single_block(left)
     cov2 = cov2 or Covering.single_block(right)
-    rng = random.Random(seed)
     rep = SProductReport()
 
     p0 = CheckReport("P0")
-    _check_embedding_morphism(p0, base, left, product.h1, "h1", subset_cap, samples, rng)
-    _check_embedding_morphism(p0, base, right, product.h2, "h2", subset_cap, samples, rng)
+    left_pool, right_pool = _subset_pools(left.closed_sets, right.closed_sets)
+    _check_embedding_morphism(p0, base, left, product.h1, "h1", left_pool)
+    _check_embedding_morphism(p0, base, right, product.h2, "h2", right_pool)
     rep.reports["P0"] = p0
 
     p1 = CheckReport("P1")
@@ -408,7 +401,6 @@ def check_sproduct(
 @dataclass
 class TransitivityResult:
     ok: bool
-    mode: str
     condition: Optional[str] = None
     witness: object = None
 
@@ -416,74 +408,50 @@ class TransitivityResult:
         return self.ok
 
 
-def _block_condition(img: int, mask: int) -> bool:
-    """u(A) ∩ A equals u(A) or is empty, for img = u(A)."""
-    overlap = img & mask
-    return overlap == img or overlap == 0
+def _invariant_subsets(perms: list[tuple[int, ...]], n: int) -> list[int]:
+    """Every nonempty atom subset A with u(A) ∩ A ∈ {u(A), ∅} for every
+    permutation u, by the exhaustive sweep, which is capped at
+    `SWEEP_ATOM_CAP` atoms."""
+    if n > SWEEP_ATOM_CAP:
+        raise SizeCapError(
+            f"invariant-subset sweep over {n} atoms exceeds cap {SWEEP_ATOM_CAP}"
+        )
+    return _kernels.invariant_subsets(perms, n)
 
 
-def strongly_transitive(
-    lattice: Lattice,
-    group: AutoGroup,
-    atom_cap: int = TRANSITIVITY_ATOM_CAP,
-    mode: str = "exact",
-    samples: int = 2000,
-    seed: int = 11,
-) -> TransitivityResult:
+def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResult:
     """Check that a set of automorphisms acts strongly transitively.
 
     Requires the identity, atom transitivity, the fix-one-move-another
     condition (for p != q some member fixes p and moves q), and the
     subset condition: any nonempty atom subset A with u(A) ∩ A ∈
     {u(A), ∅} for every member u is the full set or a singleton.  The
-    subset condition sweeps all subsets in exact mode (capped); sample
-    mode only looks for refuting subsets at random, so a passing sampled
-    result is not a proof.
+    subset condition sweeps all subsets, so it raises SizeCapError above
+    `SWEEP_ATOM_CAP` atoms.
     """
     n = lattice.atom_count
     perms = [u.perm for u in group]
     if not group.contains_identity():
-        return TransitivityResult(False, mode, "identity is a member", None)
+        return TransitivityResult(False, "identity is a member", None)
     for p in range(n):
         for q in range(n):
             if not any(perm[p] == q for perm in perms):
-                return TransitivityResult(
-                    False, mode, "atom transitivity", (p, q)
-                )
+                return TransitivityResult(False, "atom transitivity", (p, q))
     for p in range(n):
         for q in range(n):
             if p == q:
                 continue
             if not any(perm[p] == p and perm[q] != q for perm in perms):
                 return TransitivityResult(
-                    False, mode, "some member fixes p and moves q", (p, q)
+                    False, "some member fixes p and moves q", (p, q)
                 )
     full = full_mask(n)
-    if mode == "exact":
-        if n > atom_cap:
-            raise SizeCapError(
-                f"invariant-subset sweep over {n} atoms exceeds cap {atom_cap}; "
-                "use mode='sample' for refutation-only checking"
-            )
-        for m in _kernels.invariant_subsets(perms, n):
-            if m != full and popcount(m) != 1:
-                return TransitivityResult(
-                    False, mode, "only trivial invariant subsets", atoms_of(m)
-                )
-        return TransitivityResult(True, mode)
-    if mode != "sample":
-        raise ValueError(f"unknown mode: {mode!r}")
-    rng = random.Random(seed)
-    movers = [u for u in group if not u.is_identity()]
-    for _ in range(samples):
-        m = rng.getrandbits(n)
-        if m == 0 or m == full or popcount(m) == 1:
-            continue
-        if all(_block_condition(u(m), m) for u in movers):
+    for m in _invariant_subsets(perms, n):
+        if m != full and popcount(m) != 1:
             return TransitivityResult(
-                False, mode, "only trivial invariant subsets", atoms_of(m)
+                False, "only trivial invariant subsets", atoms_of(m)
             )
-    return TransitivityResult(True, mode)
+    return TransitivityResult(True)
 
 
 # -- invariant subsets of a product under a group -------------------------
@@ -491,18 +459,10 @@ def strongly_transitive(
 
 @dataclass
 class ClassificationResult:
-    """Invariant atom subsets with their structural tags.
-
-    In exact mode `entries` lists every invariant nonempty subset, tagged
-    full/singleton/row/column/unexpected.  In sample mode the expected
-    shapes are verified directly and `entries` holds those that are in
-    fact invariant, while random other subsets are checked to refute
-    invariance; any sampled invariant subset appears tagged unexpected.
-    """
+    """Every invariant nonempty atom subset, tagged
+    full/singleton/row/column/unexpected."""
 
     entries: list
-    mode: str
-    sampled: int = 0
 
     def tags(self) -> dict:
         out = {}
@@ -528,12 +488,7 @@ def induced_pair_group(product: ProductLattice, t1: AutoGroup, t2: AutoGroup) ->
 
 
 def classify_invariant_subsets(
-    product: ProductLattice,
-    group: AutoGroup,
-    atom_cap: int = CLASSIFY_ATOM_CAP,
-    mode: Optional[str] = None,
-    samples: int = 4000,
-    seed: int = 13,
+    product: ProductLattice, group: AutoGroup, mode: str = "exact"
 ) -> ClassificationResult:
     """Classify the atom subsets R of the product base that satisfy
     u(R) ∩ R ∈ {u(R), ∅} for every member u of `group` into full set,
@@ -545,15 +500,15 @@ def classify_invariant_subsets(
     on a square product the *full* automorphism group also contains the
     factor swap, which rules the rows and columns out as well (a swap
     sends a row to a column, overlapping it in exactly one pair atom).
+
+    The sweep is exhaustive and raises SizeCapError above
+    `SWEEP_ATOM_CAP` atoms; `mode` accepts only "exact".
     """
-    base = product.base
-    n = base.atom_count
-    n1, n2 = product.left.atom_count, product.right.atom_count
-    if mode is None:
-        mode = "exact" if n <= atom_cap else "sample"
-    full = base.top
-    rows = {product.row(i): i for i in range(n1)}
-    cols = {product.col(j): j for j in range(n2)}
+    if mode != "exact":
+        raise ValueError(f"unknown mode: {mode!r}")
+    full = product.base.top
+    rows = {product.row(i) for i in range(product.left.atom_count)}
+    cols = {product.col(j) for j in range(product.right.atom_count)}
 
     def tag(mask: int) -> str:
         if mask == full:
@@ -566,36 +521,5 @@ def classify_invariant_subsets(
             return "column"
         return "unexpected"
 
-    if mode == "exact":
-        if n > atom_cap:
-            raise SizeCapError(
-                f"exhaustive sweep over {n} atoms exceeds cap {atom_cap}; "
-                "use mode='sample'"
-            )
-        invariant = _kernels.invariant_subsets([u.perm for u in group], n)
-        return ClassificationResult([(m, tag(m)) for m in invariant], "exact")
-    if mode != "sample":
-        raise ValueError(f"unknown mode: {mode!r}")
-    movers = [u for u in group if not u.is_identity()]
-
-    def invariant_under_all(mask: int) -> bool:
-        return all(_block_condition(u(mask), mask) for u in movers)
-
-    entries = []
-    candidates = [full] + [1 << a for a in range(n)] + list(rows) + list(cols)
-    seen = set()
-    for m in candidates:
-        if m and m not in seen and invariant_under_all(m):
-            seen.add(m)
-            entries.append((m, tag(m)))
-    rng = random.Random(seed)
-    tried = 0
-    for _ in range(samples):
-        m = rng.getrandbits(n)
-        if m == 0 or m in seen:
-            continue
-        tried += 1
-        if invariant_under_all(m):
-            seen.add(m)
-            entries.append((m, "unexpected"))
-    return ClassificationResult(entries, "sample", sampled=tried)
+    invariant = _invariant_subsets([u.perm for u in group], product.base.atom_count)
+    return ClassificationResult([(m, tag(m)) for m in invariant])

@@ -49,12 +49,12 @@ def build_mo(n: int) -> tuple[Lattice, OrthoMap]:
     return lat, OrthoMap(lat, images)
 
 
-def build_boolean(n: int, cap: int = BOOLEAN_CAP) -> tuple[Lattice, OrthoMap]:
+def build_boolean(n: int) -> tuple[Lattice, OrthoMap]:
     """Boolean lattice of all subsets of n atoms, with set complement."""
     if n < 0:
         raise ValidationError("boolean lattice needs n >= 0", n)
-    if n > cap:
-        raise SizeCapError(f"boolean lattice on {n} atoms exceeds cap {cap}")
+    if n > BOOLEAN_CAP:
+        raise SizeCapError(f"boolean lattice on {n} atoms exceeds cap {BOOLEAN_CAP}")
     top = full_mask(n)
     fam = range(1 << n)
     lat = Lattice(n, fam, atom_labels=tuple(f"e{i}" for i in range(n)))

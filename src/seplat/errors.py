@@ -44,8 +44,7 @@ class ForeignElementError(SeplatError):
 
 
 class SizeCapError(SeplatError):
-    """A size guard was exceeded.  The message names the cap and, where a
-    degraded mode exists (e.g. sampling), suggests it."""
+    """A size guard was exceeded.  The message names the cap."""
 
 
 class CoveringError(SeplatError):

@@ -207,14 +207,13 @@ class Lattice:
         return tuple(1 << a for a in range(self.atom_count))
 
     def coatoms(self) -> tuple[int, ...]:
-        """Maximal proper elements."""
-        top = self.top
-        proper = [s for s in self.closed_sets if s != top]
-        out = []
-        for s in proper:
-            if not any(t != s and is_subset(s, t) for t in proper):
-                out.append(s)
-        return tuple(out)
+        """Maximal proper elements, in family order.
+
+        These are the maximal meet-irreducibles: a coatom's only strict
+        superset is top, and every other proper element lies below some
+        coatom."""
+        mi = self.meet_irreducibles()
+        return tuple(m for m in mi if not any(m != t and m & ~t == 0 for t in mi))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs (x, y) with y covering x, in family order."""
@@ -289,16 +288,11 @@ class Lattice:
     # -- derived properties -------------------------------------------
 
     def is_coatomistic(self) -> bool:
-        """True iff every element is a meet of coatoms."""
-        cos = self.coatoms()
-        for x in self.closed_sets:
-            acc = self.top
-            for c in cos:
-                if is_subset(x, c):
-                    acc &= c
-            if acc != x:
-                return False
-        return True
+        """True iff every element is a meet of coatoms, that is, iff every
+        meet-irreducible is a coatom (every element is the meet of the
+        meet-irreducibles above it, and a meet-irreducible that is not a
+        coatom is not the meet of the coatoms above it)."""
+        return len(self.coatoms()) == len(self.meet_irreducibles())
 
     def has_covering_property(self) -> bool:
         """True iff for every atom p and element a with p not below a,

@@ -192,18 +192,29 @@ def aerts_product_sharp(
 # -- structural checks --------------------------------------------------
 
 
-def _subset_pools(
-    elems: tuple[int, ...], subset_cap: int, samples: int, rng: random.Random
-) -> list[tuple[int, ...]]:
-    """Every subset of `elems` with at most `subset_cap` members, then
-    `samples` seeded random larger ones."""
-    pools = []
-    for r in range(subset_cap + 1):
-        pools.extend(itertools.combinations(elems, r))
-    for _ in range(samples):
-        r = rng.randint(subset_cap + 1, max(subset_cap + 1, len(elems)))
-        pools.append(tuple(rng.sample(elems, min(r, len(elems)))))
-    return pools
+# The subset pools on which P0 and `lateral_join_check` test that the
+# embeddings keep meets and joins: every subset of at most SUBSET_CAP
+# elements, then SUBSET_SAMPLES random larger ones from a generator seeded
+# with SUBSET_SEED.
+SUBSET_CAP = 3
+SUBSET_SAMPLES = 20
+SUBSET_SEED = 7
+
+
+def _subset_pools(*families: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """One subset pool per family, the random draws of each following
+    those of the family before it from one seeded generator."""
+    rng = random.Random(SUBSET_SEED)
+    out = []
+    for elems in families:
+        pool = []
+        for r in range(SUBSET_CAP + 1):
+            pool.extend(itertools.combinations(elems, r))
+        for _ in range(SUBSET_SAMPLES):
+            r = rng.randint(SUBSET_CAP + 1, max(SUBSET_CAP + 1, len(elems)))
+            pool.append(tuple(rng.sample(elems, min(r, len(elems)))))
+        out.append(pool)
+    return out
 
 
 @dataclass
@@ -227,16 +238,15 @@ class CheckReport:
             self.failures.append(witness)
 
 
-def lateral_join_check(
-    product: ProductLattice, subset_cap: int = 3, samples: int = 20, seed: int = 7
-) -> CheckReport:
+def lateral_join_check(product: ProductLattice) -> CheckReport:
     """Verify the lateral join formulas on every atom pair and join
     preservation of the embeddings on element subsets.
 
     Lateral joins: for atoms p1 and distinct atoms p2, q2 of the right
     factor, (p1 x p2) v (p1 x q2) = {p1} x A(p2 v q2); symmetrically on
     the left.  Embedding joins: h(join of a subset) = join of the images,
-    exhaustively up to `subset_cap` and on seeded random larger subsets.
+    exhaustively up to `SUBSET_CAP` elements and on `SUBSET_SAMPLES`
+    seeded random larger subsets.
     """
     report = CheckReport("lateral-join")
     base, left, right = product.base, product.left, product.right
@@ -258,16 +268,16 @@ def lateral_join_check(
                 want = product.rect(left.join(((1 << i), (1 << k))), 1 << j)
                 report.record(got == want, ("left", j, i, k, atoms_of(got)))
 
-    rng = random.Random(seed)
+    left_pool, right_pool = _subset_pools(left.closed_sets, right.closed_sets)
 
-    def check_embedding(lat, h, side):
-        for omega in _subset_pools(lat.closed_sets, subset_cap, samples, rng):
+    def check_embedding(lat, h, side, pool):
+        for omega in pool:
             got = base.join([h[x] for x in omega])
             want = h[lat.join(omega)]
             report.record(got == want, (side, [atoms_of(x) for x in omega]))
 
-    check_embedding(left, product.h1, "h1")
-    check_embedding(right, product.h2, "h2")
+    check_embedding(left, product.h1, "h1", left_pool)
+    check_embedding(right, product.h2, "h2", right_pool)
     return report
 
 

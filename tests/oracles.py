@@ -116,6 +116,28 @@ def meet_irreducibles(fam: set[frozenset[int]]) -> set[frozenset[int]]:
     return out
 
 
+def coatoms(fam: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Maximal proper members."""
+    top = frozenset().union(*fam)
+    proper = [s for s in fam if s != top]
+    return {s for s in proper if not any(s < t for t in proper)}
+
+
+def is_coatomistic(fam: set[frozenset[int]]) -> bool:
+    """Every member is the intersection of the coatoms containing it (top
+    being the empty intersection)."""
+    top = frozenset().union(*fam)
+    cos = coatoms(fam)
+    for x in fam:
+        acc = top
+        for c in cos:
+            if x <= c:
+                acc &= c
+        if acc != x:
+            return False
+    return True
+
+
 def brute_automorphisms(fam: set[frozenset[int]], n_atoms: int):
     """All atom permutations carrying the family onto itself, by checking
     every permutation (n_atoms <= 8)."""

@@ -222,21 +222,10 @@ def test_invariant_block_refutes_strong_transitivity(mo3):
     assert res.condition == "only trivial invariant subsets"
     assert res.witness in ((0, 1, 2), (3, 4, 5))
 
-    sampled = seplat.strongly_transitive(mo3[0], group, mode="sample", samples=5000)
-    assert not sampled.ok
-    assert sampled.condition == "only trivial invariant subsets"
-
 
 def test_atom_cap_and_sample_mode(prod23, induced23):
-    group = induced23
     with pytest.raises(SizeCapError):
-        seplat.strongly_transitive(prod23.base, group)
-    # sample mode cannot prove anything; on 24 atoms the invariant rows
-    # are too rare for random bits to find, so it reports no refutation
-    res = seplat.strongly_transitive(prod23.base, group, mode="sample", samples=300)
-    assert res.ok and res.mode == "sample"
-    with pytest.raises(ValueError):
-        seplat.strongly_transitive(prod23.base, group, mode="bogus")
+        seplat.strongly_transitive(prod23.base, induced23)
 
 
 # -- invariant subset classification -------------------------------------------
@@ -246,7 +235,6 @@ def test_induced_group_yields_rows_and_columns(prod22, aut_mo2):
     group = induced_pair_group(prod22, aut_mo2, aut_mo2)
     assert len(group) == len(aut_mo2) ** 2 == 576
     res = seplat.classify_invariant_subsets(prod22, group)
-    assert res.mode == "exact"
     tags = {tag: len(masks) for tag, masks in res.tags().items()}
     assert tags == {"full": 1, "singleton": 16, "row": 4, "column": 4}
     assert res.unexpected == []
@@ -269,11 +257,25 @@ def test_identity_group_leaves_everything_invariant(prod22):
 
 
 def test_sample_mode_on_the_larger_product(prod23, induced23):
-    group = induced23
-    res = seplat.classify_invariant_subsets(prod23, group, samples=500)
-    assert res.mode == "sample" and res.sampled > 0
-    tags = {tag: len(masks) for tag, masks in res.tags().items()}
-    assert tags == {"full": 1, "singleton": 24, "row": 4, "column": 6}
-    assert res.unexpected == []
+    # 24 atoms are past the sweep cap, and there is no sampled fallback
     with pytest.raises(SizeCapError):
-        seplat.classify_invariant_subsets(prod23, group, mode="exact")
+        seplat.classify_invariant_subsets(prod23, induced23)
+    for mode in ("sample", "bogus"):
+        with pytest.raises(ValueError):
+            seplat.classify_invariant_subsets(prod23, induced23, mode=mode)
+
+
+def test_classification_is_exact_up_to_the_sweep_cap(two):
+    # MO(9) x 2 has 18 pair atoms; under the powers of an 18-cycle the
+    # invariant subsets are the full set, the singletons and the 9 + 6 +
+    # 3 + 2 blocks of C18 of sizes 2, 3, 6 and 9
+    prod = seplat.aerts_product_general(seplat.build_mo(9)[0], two)
+    n = prod.base.atom_count
+    assert n == 18
+    powers = [Automorphism(tuple((i + k) % n for i in range(n))) for k in range(n)]
+    group = AutoGroup(prod.base, powers)
+    res = seplat.classify_invariant_subsets(prod, group, mode="exact")
+    tags = {tag: len(masks) for tag, masks in res.tags().items()}
+    assert tags == {"full": 1, "singleton": 18, "unexpected": 20}
+    sizes = sorted(popcount(m) for m in res.unexpected)
+    assert sizes == [2] * 9 + [3] * 6 + [6] * 3 + [9] * 2

@@ -1,6 +1,7 @@
 """JSON document round-trips, DOT export, and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_dump_is_deterministic(tmp_path, mo2):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     io.dump_lattice(a, mo2[0], mo2[1])
     io.dump_lattice(b, mo2[0], mo2[1])
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_product_roundtrip(tmp_path, mo2, prod22):
@@ -204,7 +205,7 @@ def test_cli_check_failures_and_json_report(tmp_path, docs, capsys):
     code = main(["check", docs["prod"], "--orthomodular", "--json", report])
     assert code == 1
     assert "orthomodular: FAIL" in capsys.readouterr().out
-    data = json.load(open(report))
+    data = json.loads(Path(report).read_text())
     assert data["passed"] is False
     assert data["checks"]["orthomodular"]["ok"] is False
     assert data["checks"]["ortho"]["ok"] is True
@@ -236,7 +237,7 @@ def test_cli_sproduct_check(tmp_path, docs, capsys):
     text = capsys.readouterr().out
     for axiom in ("P0", "P1", "P2", "P3", "P4", "P5"):
         assert f"{axiom}: pass" in text
-    data = json.load(open(report))
+    data = json.loads(Path(report).read_text())
     assert data["passed"] is True and len(data["axioms"]) == 6
 
     assert main(["sproduct-check", docs["prod"], docs["mo2"], docs["mo2"], "--T", "id"]) == 0
@@ -262,7 +263,7 @@ def test_cli_ortho_search(tmp_path, docs, capsys):
     out = str(tmp_path / "found.json")
     assert main(["ortho-search", docs["mo2"], "--limit", "2", "-o", out]) == 0
     assert "orthocomplementations: 2" in capsys.readouterr().out
-    docs_found = json.load(open(out))
+    docs_found = json.loads(Path(out).read_text())
     assert len(docs_found) == 2
     for payload in docs_found:
         lat, om = io.LatticeDocument.from_dict(payload).build()
@@ -283,7 +284,7 @@ def test_cli_characterize(docs, capsys):
 def test_cli_export(tmp_path, docs, capsys):
     out = str(tmp_path / "mo2.dot")
     assert main(["export", docs["mo2"], "--dot", "-o", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("digraph") and "->" in text
 
     assert main(["export", docs["mo2"]]) == 0
@@ -293,7 +294,7 @@ def test_cli_export(tmp_path, docs, capsys):
 @pytest.mark.parametrize("key", ["h1", "h2"])
 @pytest.mark.parametrize("index", [999, -1])
 def test_cli_rejects_embedding_index_out_of_range(tmp_path, docs, capsys, key, index):
-    data = json.load(open(docs["prod"]))
+    data = json.loads(Path(docs["prod"]).read_text())
     data["meta"][key][1] = index
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
@@ -305,7 +306,7 @@ def test_cli_rejects_embedding_index_out_of_range(tmp_path, docs, capsys, key, i
 
 @pytest.mark.parametrize("key", ["h1", "h2"])
 def test_cli_rejects_wrong_embedding_index_in_range(tmp_path, docs, capsys, key):
-    data = json.load(open(docs["prod"]))
+    data = json.loads(Path(docs["prod"]).read_text())
     data["meta"][key][1] = data["meta"][key][2]
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
@@ -320,7 +321,7 @@ def test_cli_rejects_wrong_embedding_index_in_range(tmp_path, docs, capsys, key)
 def test_load_product_reads_indices_in_document_order(tmp_path, docs, capsys):
     # generator-route documents carry no orthocomplementation, so nothing
     # forces their closed_sets into canonical order
-    data = json.load(open(docs["gen"]))
+    data = json.loads(Path(docs["gen"]).read_text())
     last = len(data["closed_sets"]) - 1
     data["closed_sets"].reverse()
     for key in ("h1", "h2"):

@@ -2,7 +2,7 @@
 order isomorphism, and the product characterization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seplat
@@ -113,6 +113,18 @@ def test_meet_irreducibles_match_the_oracle(lat):
     for x, _ in lat.covers():
         ups[x] = ups.get(x, 0) + 1
     assert set(got) == {x for x, k in ups.items() if k == 1}
+
+
+@given(complete_lattices())
+@example(Lattice(0, [0]))
+@example(seplat.build_two())
+@settings(max_examples=150, deadline=None)
+def test_coatoms_and_coatomisticity_match_the_oracle(lat):
+    got = lat.coatoms()
+    assert got == tuple(s for s in lat.closed_sets if s in set(got))  # family order
+    fam = family_as_sets(lat)
+    assert {frozenset(atoms_of(m)) for m in got} == oracles.coatoms(fam)
+    assert lat.is_coatomistic() == oracles.is_coatomistic(fam)
 
 
 def test_meet_irreducibles_of_products(prod23):
@@ -366,10 +378,8 @@ def test_characterize_every_searched_ortho(prod22, aut_mo2):
     found = seplat.enumerate_orthocomplementations(prod22.base)
     assert len(found) == 9
     for om in found:
-        res = seplat.characterize(
-            prod22.with_ortho(om), aut1=aut_mo2, aut2=aut_mo2, rebuild_check=False
-        )
-        assert "induced-orthocomplementations" in res.steps
+        res = seplat.characterize(prod22.with_ortho(om), aut1=aut_mo2, aut2=aut_mo2)
+        assert "sharp-rebuild" in res.steps
         seplat.validate_ortho(prod22.left, res.induced_left)
         seplat.validate_ortho(prod22.right, res.induced_right)
 
@@ -390,11 +400,12 @@ def test_characterize_rejects_disconnected_factors(b3, mo2):
 
 
 def test_characterize_skips_hypotheses_on_request(prod22, aut_mo2):
-    res = seplat.characterize(prod22, check_hypotheses=False, rebuild_check=False)
+    res = seplat.characterize(prod22, check_hypotheses=False)
     assert res.steps == [
         "delta-bijection",
         "order-isomorphism",
         "induced-orthocomplementations",
+        "sharp-rebuild",
     ]
 
 
