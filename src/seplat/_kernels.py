@@ -2,6 +2,10 @@
 
 Masks are plain ints, so the kernels take any atom count.
 
+`close_under_intersection` intersects each new member with the seeds
+only, never with the members found so far, since every member of the
+closure is an intersection of seeds.
+
 Every kernel that applies a permutation goes through `_mask_action`,
 which maps a mask through the list of atom images one set bit at a
 time, so a call costs what its masks hold rather than a lookup table per
@@ -20,20 +24,22 @@ BACKEND = "pure"
 def close_under_intersection(seeds: Iterable[int], universe: int) -> list[int]:
     """Smallest family containing `seeds` and `universe` that is closed
     under pairwise intersection.  Returns the members in ascending int
-    order (callers re-sort into canonical family order)."""
-    found = set(seeds)
-    found.add(universe)
+    order (callers re-sort into canonical family order).
+
+    Each new member is intersected with the seeds only: every member of
+    the closure is the universe or an intersection of seeds, and
+    s1 ∩ … ∩ sk is reached from s1 one seed at a time.  Cost
+    O(members · seeds)."""
+    seeds = set(seeds)
+    found = seeds | {universe}
     work = list(found)
     while work:
         x = work.pop()
-        new = []
-        for y in found:
-            z = x & y
+        for s in seeds:
+            z = x & s
             if z not in found:
-                new.append(z)
-        for z in new:
-            found.add(z)
-            work.append(z)
+                found.add(z)
+                work.append(z)
     return sorted(found)
 
 

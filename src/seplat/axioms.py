@@ -173,7 +173,6 @@ def laterally_connected(
     product: ProductLattice,
     cov1: Covering,
     cov2: Covering,
-    check_coverings: bool = True,
 ) -> ConnectivityResult:
     """Lateral connectivity of a product with respect to factor coverings.
 
@@ -196,15 +195,14 @@ def laterally_connected(
     base, left, right = product.base, product.left, product.right
     cov1.validate_shape(left)
     cov2.validate_shape(right)
-    if check_coverings:
-        for lat, cov, side in ((left, cov1, "left"), (right, cov2, "right")):
-            if lat.atom_count == 2:
-                continue
-            res = weakly_connected(lat, cov)
-            if not res:
-                raise CoveringError(
-                    f"{side} covering is not connected: {res.condition}", res.witness
-                )
+    for lat, cov, side in ((left, cov1, "left"), (right, cov2, "right")):
+        if lat.atom_count == 2:
+            continue
+        res = weakly_connected(lat, cov)
+        if not res:
+            raise CoveringError(
+                f"{side} covering is not connected: {res.condition}", res.witness
+            )
     n1, n2 = left.atom_count, right.atom_count
 
     def lateral_right(p1: int, j: int, k: int) -> bool:
@@ -324,7 +322,11 @@ def check_sproduct(
     """Exhaustive verification of the product axioms.
 
     P0: the embeddings are injective and preserve arbitrary meets and
-        joins (exhaustive on small subsets, seeded random on larger).
+        joins.  Tested on every subset of at most `SUBSET_CAP` elements
+        plus seeded random larger ones; the verdict is exact, because the
+        pool holds the empty subset and every pair, and in a finite
+        lattice binary and empty meets and joins determine all others
+        (associativity), so the random draws can never change it.
     P1: the embedded meet of two factor atoms is an atom of the base.
     P2: that atom lies under h1(a1) v h2(a2) iff p1 <= a1 or p2 <= a2.
     P3: laterally connected with respect to the coverings.

@@ -116,12 +116,8 @@ def _cmd_check(args) -> int:
     return 0 if passed else 1
 
 
-def _load_product(args) -> product_mod.ProductLattice:
-    return io.load_product(args.product, args.left, args.right)
-
-
 def _cmd_sproduct_check(args) -> int:
-    prod = _load_product(args)
+    prod = io.load_product(args.product, args.left, args.right)
     cov1 = _parse_covering(args.covering1, prod.left)
     cov2 = _parse_covering(args.covering2, prod.right)
     if args.groups == "id":
@@ -186,7 +182,7 @@ def _cmd_ortho_search(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    prod = _load_product(args)
+    prod = io.load_product(args.product, args.left, args.right)
     try:
         result = morphisms.characterize(prod)
     except CharacterizationError as e:

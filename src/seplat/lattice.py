@@ -17,6 +17,7 @@ from .bitset import (
     canonical_family,
     full_mask,
     is_subset,
+    iter_atoms,
     popcount,
 )
 from .errors import ForeignElementError, ValidationError
@@ -102,7 +103,6 @@ class Lattice:
         """Check every structural invariant, raising ValidationError with
         the first violated law and a witness."""
         top = full_mask(self.atom_count)
-        fam = self.closed_sets
         index = self._index
         if top not in index:
             raise ValidationError("full atom set is closed", atoms_of(top))
@@ -111,13 +111,18 @@ class Lattice:
         for a in range(self.atom_count):
             if (1 << a) not in index:
                 raise ValidationError("every singleton is closed", (a,))
-        for i, x in enumerate(fam):
-            for y in fam[i + 1 :]:
-                z = x & y
+        # The descending pass of `meet_irreducibles` makes every member of
+        # a family with top the intersection m1 ∩ … ∩ mk of the candidates
+        # found above it.  So x ∩ y is reached from x one candidate at a
+        # time, and the family is closed exactly when each x ∩ m is a member.
+        mi = self.meet_irreducibles()
+        for x in self.closed_sets:
+            for m in mi:
+                z = x & m
                 if z not in index:
                     raise ValidationError(
                         "family is closed under intersection",
-                        (atoms_of(x), atoms_of(y)),
+                        (atoms_of(x), atoms_of(m)),
                         f"missing {atoms_of(z)}",
                     )
 
@@ -197,10 +202,12 @@ class Lattice:
         """Smallest closed superset of an arbitrary atom set."""
         if raw in self._index:
             return raw
+        # The closure is a member, hence the meet of the meet-irreducibles
+        # above it, and those are exactly the meet-irreducibles above `raw`.
         acc = self.top
-        for s in self.closed_sets:
-            if raw & ~s == 0:
-                acc &= s
+        for m in self.meet_irreducibles():
+            if raw & ~m == 0:
+                acc &= m
         return acc
 
     def atoms(self) -> tuple[int, ...]:
@@ -280,10 +287,9 @@ class Lattice:
         self.require(y)
         if x == y or not is_subset(x, y):
             return False
-        for z in self.closed_sets:
-            if z != x and z != y and is_subset(x, z) and is_subset(z, y):
-                return False
-        return True
+        # A member strictly between holds some atom p of y − x, and then so
+        # does closure(x | p), which lies between x and y as well.
+        return all(self.closure(x | 1 << p) == y for p in iter_atoms(y & ~x))
 
     # -- derived properties -------------------------------------------
 

@@ -78,9 +78,7 @@ class AutoGroup:
     """A set of automorphisms of one lattice.
 
     `verify_group` checks closure under composition and inverse plus the
-    identity; enumeration output is flagged verified without the quadratic
-    recheck since backtracking returns the full automorphism group.  Every
-    member must permute exactly the lattice's atoms.
+    identity.  Every member must permute exactly the lattice's atoms.
     """
 
     __slots__ = ("lattice", "members")

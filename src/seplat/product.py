@@ -195,7 +195,10 @@ def aerts_product_sharp(
 # The subset pools on which P0 and `lateral_join_check` test that the
 # embeddings keep meets and joins: every subset of at most SUBSET_CAP
 # elements, then SUBSET_SAMPLES random larger ones from a generator seeded
-# with SUBSET_SEED.
+# with SUBSET_SEED.  The verdicts are exact all the same: the pool holds
+# the empty subset and every pair, and in a finite lattice binary and
+# empty meets and joins determine all others by associativity, so a map
+# that passes them passes every subset and the draws never change a verdict.
 SUBSET_CAP = 3
 SUBSET_SAMPLES = 20
 SUBSET_SEED = 7
@@ -246,7 +249,9 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
     factor, (p1 x p2) v (p1 x q2) = {p1} x A(p2 v q2); symmetrically on
     the left.  Embedding joins: h(join of a subset) = join of the images,
     exhaustively up to `SUBSET_CAP` elements and on `SUBSET_SAMPLES`
-    seeded random larger subsets.
+    seeded random larger subsets.  The verdict holds for every subset:
+    the empty join and binary joins determine all others (associativity),
+    so the random draws can never change it.
     """
     report = CheckReport("lateral-join")
     base, left, right = product.base, product.left, product.right

@@ -105,6 +105,37 @@ def brute_join(fam: set[frozenset[int]], xs) -> frozenset[int]:
     return acc
 
 
+def intersection_closure(fam: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Close a family under pairwise intersection by iterating over every
+    pair until nothing new appears."""
+    out = set(fam)
+    while True:
+        new = {x & y for x in out for y in out} - out
+        if not new:
+            return out
+        out |= new
+
+
+def missing_intersections(fam: set[frozenset[int]]) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Every pair of members whose intersection is not a member."""
+    return [(x, y) for x in fam for y in fam if x & y not in fam]
+
+
+def brute_covers(fam: set[frozenset[int]]) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """Pairs (x, y) with x < y and no member strictly between."""
+    return {
+        (x, y)
+        for x in fam
+        for y in fam
+        if x < y and not any(x < z < y for z in fam)
+    }
+
+
+def order_reversal_violations(fam: set[frozenset[int]], omap) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Pairs x <= y whose images fail y' <= x'."""
+    return [(x, y) for x in fam for y in fam if x <= y and not omap[y] <= omap[x]]
+
+
 def meet_irreducibles(fam: set[frozenset[int]]) -> set[frozenset[int]]:
     """Members with exactly one upper cover."""
     out = set()

@@ -1,15 +1,18 @@
 """Connectivity conditions, product axioms, transitivity, invariant subsets."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
 import seplat
 from seplat import Covering, Lattice
-from seplat.axioms import induced_pair_group
-from seplat.bitset import popcount
+from seplat.axioms import _check_embedding_morphism, induced_pair_group
+from seplat.bitset import atoms_of, popcount
 from seplat.errors import CoveringError, SizeCapError, ValidationError
 from seplat.perm import Automorphism, AutoGroup
+from seplat.product import CheckReport, _subset_pools
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +138,6 @@ def test_disconnected_covering_raises(prod22):
     with pytest.raises(CoveringError) as exc:
         seplat.laterally_connected(prod22, bad, Covering.single_block(prod22.right))
     assert "left covering is not connected" in str(exc.value)
-    # the same covering is accepted when the precheck is waived, and the
-    # main clause still holds within each block
-    res = seplat.laterally_connected(
-        prod22, bad, Covering.single_block(prod22.right), check_coverings=False
-    )
-    assert res.ok
 
 
 # -- the product axioms -------------------------------------------------------
@@ -173,6 +170,50 @@ def test_sproduct_axiom_failure_is_reported(prod22, aut_mo2):
     assert not rep.passed
     assert not rep.reports["P4"].passed
     assert any("FAIL" in line for line in rep.lines())
+
+
+def _corrupt(h, base, factor, rng):
+    """A seeded corruption of an embedding: one image replaced by a random
+    base element, two images swapped, or the factor's atoms relabelled
+    (every atom permutation of MO(n) is an automorphism, so this one keeps
+    P0 intact)."""
+    h = dict(h)
+    kind = rng.randrange(3)
+    if kind == 0:
+        h[rng.choice(factor.closed_sets)] = rng.choice(base.closed_sets)
+    elif kind == 1:
+        x, y = rng.sample(factor.closed_sets, 2)
+        h[x], h[y] = h[y], h[x]
+    else:
+        sigma = list(range(factor.atom_count))
+        rng.shuffle(sigma)
+        relabel = {x: sum(1 << sigma[a] for a in atoms_of(x)) for x in factor}
+        h = {x: h[relabel[x]] for x in factor}
+    return h
+
+
+def test_p0_pool_verdict_equals_the_all_subsets_verdict(prod23):
+    # The P0 pool holds the empty subset and every pair, which determine
+    # all meets and joins, so its verdict must match the one over all 256
+    # subsets of MO(3)'s 8 elements, on intact and on corrupted embeddings.
+    base, right = prod23.base, prod23.right
+    pool = _subset_pools(prod23.left.closed_sets, right.closed_sets)[1]
+    everything = [
+        omega
+        for r in range(len(right) + 1)
+        for omega in itertools.combinations(right.closed_sets, r)
+    ]
+    assert len(everything) == 256
+    rng = random.Random(3)
+    verdicts = []
+    for _ in range(200):
+        h2 = _corrupt(prod23.h2, base, right, rng)
+        reports = [CheckReport("P0"), CheckReport("P0")]
+        for report, subsets in zip(reports, (pool, everything)):
+            _check_embedding_morphism(report, base, right, h2, "h2", subsets)
+        assert reports[0].passed == reports[1].passed
+        verdicts.append(reports[1].passed)
+    assert 20 < sum(verdicts) < 180  # both verdicts come up
 
 
 # -- strong transitivity -------------------------------------------------------

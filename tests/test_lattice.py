@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -262,3 +262,85 @@ def test_completed_families_are_valid_lattices(data):
             want = mask_of(oracles.brute_join(fam, [frozenset(atoms_of(x)), frozenset(atoms_of(y))]))
             assert lat.join((x, y)) == want
             assert lat.meet((x, y)) == x & y
+
+
+# -- property-based: generator scans against all-pairs references -----------
+#
+# `closure`, `validate` and `covers_pair` scan only the meet-irreducibles or
+# the atoms of a difference; each is compared here with the brute-force scan
+# over every member or pair that it replaced.
+
+
+def as_sets(masks):
+    return {frozenset(atoms_of(m)) for m in masks}
+
+
+@st.composite
+def complete_lattices(draw, max_atoms=8):
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    return Lattice.from_closed_family(n, seeds, mode="complete")
+
+
+@st.composite
+def raw_families(draw, max_atoms=8):
+    """Families with top, bottom and every singleton plus a few random
+    sets: left as they are, closed under intersection by the oracle, or
+    closed and then missing one member that is not meet-irreducible, which
+    leaves few pairs whose intersection is missing."""
+    n = draw(st.integers(min_value=3, max_value=max_atoms))
+    rnd = draw(st.randoms(use_true_random=False))
+    extra = [rnd.getrandbits(n) for _ in range(rnd.randint(2, 6))]
+    fam = as_sets({0, (1 << n) - 1, *(1 << a for a in range(n)), *extra})
+    how = draw(st.sampled_from(["raw", "closed", "closed minus one"]))
+    if how != "raw":
+        fam = oracles.intersection_closure(fam)
+    irreducible = oracles.meet_irreducibles(fam)
+    optional = sorted(tuple(sorted(s)) for s in fam - irreducible if 1 < len(s) < n)
+    if how == "closed minus one" and optional:
+        fam.discard(frozenset(rnd.choice(optional)))
+    return n, [mask_of(s) for s in fam]
+
+
+@given(complete_lattices(), st.lists(st.integers(min_value=0), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_closure_matches_intersection_of_all_supersets(lat, raws):
+    fam = as_sets(lat)
+    for raw in raws:
+        raw &= lat.top
+        want = oracles.brute_join(fam, [frozenset(atoms_of(raw))])
+        assert lat.closure(raw) == mask_of(want)
+
+
+@given(raw_families())
+@example(
+    (8, [0, 255, *(1 << a for a in range(8)), 0b11111, 0b1100111, 0b10101011, 0b111, 0b1011, 0b100011])
+)
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_the_pairwise_oracle(data):
+    # The example lacks only the triple intersection {0, 1} of {0..4},
+    # {0, 1, 2, 5, 6} and {0, 1, 3, 5, 7}: every pair of its
+    # meet-irreducibles intersects inside the family.
+    n, masks = data
+    fam = as_sets(masks)
+    lat = Lattice(n, masks)
+    if not oracles.missing_intersections(fam):
+        lat.validate()
+        return
+    with pytest.raises(ValidationError) as exc:
+        lat.validate()
+    assert exc.value.law == "family is closed under intersection"
+    x, y = map(frozenset, exc.value.witness)
+    assert x in fam and y in fam and x & y not in fam
+
+
+@given(complete_lattices())
+@settings(max_examples=100, deadline=None)
+def test_covers_pair_matches_the_cover_relation(lat):
+    covers = set(lat.covers())
+    assert {(frozenset(atoms_of(x)), frozenset(atoms_of(y))) for x, y in covers} == (
+        oracles.brute_covers(as_sets(lat))
+    )
+    for x in lat:
+        for y in lat:
+            assert lat.covers_pair(x, y) == ((x, y) in covers)

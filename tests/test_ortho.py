@@ -1,6 +1,7 @@
 """Orthocomplementations, atom orthogonality relations, biorthogonal closure."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -258,3 +259,70 @@ def test_ortho_requires_membership(mo2):
     images[0b0001] = 0b0011  # not a closed set
     with pytest.raises(OrthoViolation):
         seplat.validate_ortho(lat, images)
+
+
+# -- order reversal against the all-pairs reference -----------------------
+
+
+def _repair(images, rng):
+    """Re-pair two 2-cycles {x, x'} and {y, y'} of an involution into
+    {x, y'} and {y, x'}; the result is again an involution."""
+    x, y = rng.sample(sorted(images), 2)
+    xi, yi = images[x], images[y]
+    if len({x, xi, y, yi}) == 4:
+        images.update({x: yi, yi: x, y: xi, xi: y})
+
+
+def _random_involution(elems, rng):
+    rest = list(elems)
+    rng.shuffle(rest)
+    images = {}
+    while rest:
+        x = rest.pop()
+        y = rest.pop() if rest and rng.random() < 0.8 else x
+        images[x], images[y] = y, x
+    return images
+
+
+def test_order_reversal_matches_the_pair_loop():
+    """`validate_ortho` compares each image with the meet of its atoms'
+    images and runs the pair loop only when that fails.  On involutions its
+    order-reversal verdict must match the all-pairs oracle, and a failure's
+    witness must violate the law."""
+    rng = random.Random(5)
+    built = [seplat.build_boolean(n) for n in (1, 2, 3, 4)]
+    built += [seplat.build_mo(n) for n in (1, 2, 3)]
+    randoms = [
+        Lattice.from_closed_family(
+            n, [rng.getrandbits(n) for _ in range(rng.randint(0, 4))], mode="complete"
+        )
+        for n in (2, 3, 4, 5, 6)
+        for _ in range(4)
+    ]
+    verdicts = []
+    for _ in range(800):
+        if rng.random() < 0.6:
+            lat, om = rng.choice(built)
+            images = dict(om.images)
+            for _ in range(rng.randint(0, 2)):
+                _repair(images, rng)
+        else:
+            lat = rng.choice(randoms)
+            images = _random_involution(lat.closed_sets, rng)
+        fam = {frozenset(atoms_of(x)) for x in lat}
+        omap = {frozenset(atoms_of(x)): frozenset(atoms_of(y)) for x, y in images.items()}
+        bad = oracles.order_reversal_violations(fam, omap)
+        try:
+            seplat.validate_ortho(lat, images)
+            err = None
+        except OrthoViolation as e:
+            err = e
+        reversed_order = err is None or err.law != "order-reversal"
+        assert err is None or err.law in ("order-reversal", "complement-meet")
+        verdicts.append(reversed_order)
+        if reversed_order:
+            assert not bad
+        else:
+            x, y = err.witness
+            assert (frozenset(x), frozenset(y)) in bad
+    assert 100 < sum(verdicts) < 700  # both verdicts come up often
