@@ -330,10 +330,21 @@ def check_sproduct(
     P1: the embedded meet of two factor atoms is an atom of the base.
     P2: that atom lies under h1(a1) v h2(a2) iff p1 <= a1 or p2 <= a2.
     P3: laterally connected with respect to the coverings.
-    P4: every pair of factor automorphisms from t1 x t2 induces an atom
-        permutation of the base that preserves the closed family, checked
-        on the base's meet-irreducibles, which the permutation must map
-        into themselves (equivalent; see `Lattice.meet_irreducibles`).
+    P4: every pair (u1, u2) from t1 x t2 induces an atom permutation
+        (p1, p2) -> (u1 p1, u2 p2) of the base that preserves the closed
+        family, checked on the base's meet-irreducibles, which the
+        permutation must map into themselves (equivalent; see
+        `Lattice.meet_irreducibles`).  With v1, v2 the first members of
+        t1 and t2, only the |t1| + |t2| − 1 spanning pairs (u1, v2) and
+        (v1, u2) are evaluated: when the pair maps permute every base
+        atom, those that pass are automorphisms of the base, which form a
+        group, and (u1, u2) = (u1, v2) ∘ (v1, v2)⁻¹ ∘ (v1, u2), so every
+        pair passes.  This needs neither the identity in t1 or t2 nor
+        closure under composition.  `checked` counts the pairs certified,
+        |t1|·|t2|, not the maps evaluated.  When the base has other atoms
+        than the pairs, or a spanning pair fails, every pair is evaluated
+        in order, so the failures and their witnesses are those of the
+        all-pairs loop.
     P5: the atoms of the base are exactly the embedded atom meets.
     """
     base, left, right = product.base, product.left, product.right
@@ -379,11 +390,24 @@ def check_sproduct(
     p4 = CheckReport("P4")
     n1, n2 = left.atom_count, right.atom_count
     fam = base.meet_irreducibles()
-    for u1 in t1:
-        for u2 in t2:
-            pair_perm = _pair_perm(u1, u2, n1, n2)
-            ok = _kernels.family_preserved(pair_perm, fam, base.atom_count)
-            p4.record(ok, (u1.perm, u2.perm))
+    members1, members2 = tuple(t1), tuple(t2)
+
+    def preserved(u1: Automorphism, u2: Automorphism) -> bool:
+        pair_perm = _pair_perm(u1, u2, n1, n2)
+        return _kernels.family_preserved(pair_perm, fam, base.atom_count)
+
+    certified = False
+    if base.atom_count == n1 * n2 and members1 and members2:
+        v1, v2 = members1[0], members2[0]
+        certified = all(preserved(u1, v2) for u1 in members1) and all(
+            preserved(v1, u2) for u2 in members2[1:]
+        )
+    if certified:
+        p4.checked = len(members1) * len(members2)
+    else:
+        for u1 in members1:
+            for u2 in members2:
+                p4.record(preserved(u1, u2), (u1.perm, u2.perm))
     rep.reports["P4"] = p4
 
     p5 = CheckReport("P5")
@@ -435,19 +459,30 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
     perms = [u.perm for u in group]
     if not group.contains_identity():
         return TransitivityResult(False, "identity is a member", None)
+    # One pass over the members: images[p] holds every atom some member
+    # sends p to, moved_by_stabilizer[p] every atom some member fixing p
+    # moves.  The conditions then read bits, in the order of the pair loops.
+    full = full_mask(n)
+    images = [0] * n
+    moved_by_stabilizer = [0] * n
+    for perm in perms:
+        moved = 0
+        for p, image in enumerate(perm):
+            images[p] |= 1 << image
+            if image != p:
+                moved |= 1 << p
+        for p in iter_atoms(full & ~moved):
+            moved_by_stabilizer[p] |= moved
     for p in range(n):
         for q in range(n):
-            if not any(perm[p] == q for perm in perms):
+            if not images[p] >> q & 1:
                 return TransitivityResult(False, "atom transitivity", (p, q))
     for p in range(n):
         for q in range(n):
-            if p == q:
-                continue
-            if not any(perm[p] == p and perm[q] != q for perm in perms):
+            if p != q and not moved_by_stabilizer[p] >> q & 1:
                 return TransitivityResult(
                     False, "some member fixes p and moves q", (p, q)
                 )
-    full = full_mask(n)
     for m in _invariant_subsets(perms, n):
         if m != full and popcount(m) != 1:
             return TransitivityResult(

@@ -74,10 +74,19 @@ class LatticeDocument:
             closed = [list(map(int, s)) for s in data["closed_sets"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError("document has atoms and closed_sets", str(e)) from e
+        for s in closed:
+            if not all(0 <= a < len(atoms) for a in s):
+                raise ValidationError("members use atoms 0..atom_count-1", tuple(s))
         ortho = data.get("ortho_elements")
         if ortho is not None:
-            ortho = list(map(int, ortho))
-        return cls(atoms, closed, ortho, dict(data.get("meta") or {}))
+            try:
+                ortho = list(map(int, ortho))
+            except (TypeError, ValueError) as e:
+                raise ValidationError("ortho_elements lists element indices", str(e)) from e
+        meta = data.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise ValidationError("meta is an object", meta)
+        return cls(atoms, closed, ortho, dict(meta))
 
     def build(self) -> tuple[Lattice, Optional[OrthoMap]]:
         """Validate and reconstruct the lattice and its

@@ -223,15 +223,31 @@ class Lattice:
         return tuple(m for m in mi if not any(m != t and m & ~t == 0 for t in mi))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """All cover pairs (x, y) with y covering x, in family order."""
+        """All cover pairs (x, y) with y covering x, in family order: by x,
+        then by y's popcount, then by y's family index.
+
+        The upper covers of x are the minimal members among the closures
+        of x | p for the atoms p outside x: every member above x holds
+        such a closure, so a member strictly between x and a minimal one
+        cannot exist.  closure(x | p) is the meet of the meet-irreducibles
+        above x that hold p, so one pass over the meet-irreducibles above
+        x finds all of them (top for an atom outside every such m).
+        Cost O(N·|MI|·n)."""
         if self._covers is None:
-            fam = self.closed_sets
+            top, index = self.top, self._index
+            mi = self.meet_irreducibles()
             out = []
-            for x in fam:
-                ups = [y for y in fam if y != x and is_subset(x, y)]
-                ups.sort(key=popcount)
-                minimal = []
-                for y in ups:
+            for x in self.closed_sets:
+                acc: dict[int, int] = {}
+                for m in mi:
+                    if x & ~m == 0:
+                        for p in iter_atoms(m & ~x):
+                            acc[p] = acc.get(p, top) & m
+                candidates = set(acc.values())
+                if len(acc) < popcount(top & ~x):
+                    candidates.add(top)
+                minimal: list[int] = []
+                for y in sorted(candidates, key=lambda y: (popcount(y), index[y])):
                     if not any(is_subset(z, y) for z in minimal):
                         minimal.append(y)
                 out.extend((x, y) for y in minimal)

@@ -354,3 +354,87 @@ def third_atom_count(fam: set[frozenset[int]], p: int, q: int) -> int:
     """Number of atoms below the join of two distinct atoms."""
     j = brute_join(fam, [frozenset([p]), frozenset([q])])
     return len(j)
+
+
+# -- all-pairs references for the one-pass and spanning-pair checks -------
+#
+# These take masks (ints) and permutation tuples, or the library's objects
+# read through their plain attributes, but keep their own loops.
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _atoms(mask: int) -> tuple[int, ...]:
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+
+
+def _image(perm, mask: int) -> int:
+    out = 0
+    for a in _atoms(mask):
+        out |= 1 << perm[a]
+    return out
+
+
+def ordered_covers(closed_sets) -> list[tuple[int, int]]:
+    """Cover pairs (x, y) of a family given in its canonical order, by
+    scanning every pair: x in family order, then its upper covers by
+    popcount, ties in family order."""
+    out = []
+    for x in closed_sets:
+        ups = [y for y in closed_sets if y != x and x & ~y == 0]
+        ups.sort(key=_popcount)
+        minimal = []
+        for y in ups:
+            if not any(z & ~y == 0 for z in minimal):
+                minimal.append(y)
+        out.extend((x, y) for y in minimal)
+    return out
+
+
+def p4_all_pairs(product, t1, t2):
+    """(passed, checked, failures) of axiom P4 by evaluating every pair
+    (u1, u2) of t1 x t2 in order: it passes when (p1, p2) -> (u1 p1, u2 p2)
+    maps every closed set of the base to a closed set; a failure records
+    (u1.perm, u2.perm)."""
+    n1, n2 = product.left.atom_count, product.right.atom_count
+    family = set(product.base.closed_sets)
+    checked, failures = 0, []
+    for u1 in t1:
+        for u2 in t2:
+            pair = [u1.perm[i] * n2 + u2.perm[j] for i in range(n1) for j in range(n2)]
+            checked += 1
+            if not all(_image(pair, s) in family for s in family):
+                failures.append((u1.perm, u2.perm))
+    return not failures, checked, failures
+
+
+def invariant_subsets_sweep(perms, n: int) -> list[int]:
+    """Every nonempty atom mask A with u(A) ∩ A ∈ {u(A), ∅} for every
+    permutation u, testing each mask against the whole list."""
+    out = []
+    for a in range(1, 1 << n):
+        if all(_image(perm, a) & a in (_image(perm, a), 0) for perm in perms):
+            out.append(a)
+    return out
+
+
+def strongly_transitive_pairs(n: int, perms):
+    """(ok, condition, witness) of strong transitivity, each condition
+    tested pair by pair with a scan of every member, in the library's
+    order of conditions and pairs."""
+    if not any(all(perm[i] == i for i in range(n)) for perm in perms):
+        return False, "identity is a member", None
+    for p in range(n):
+        for q in range(n):
+            if not any(perm[p] == q for perm in perms):
+                return False, "atom transitivity", (p, q)
+    for p in range(n):
+        for q in range(n):
+            if p != q and not any(perm[p] == p and perm[q] != q for perm in perms):
+                return False, "some member fixes p and moves q", (p, q)
+    for a in invariant_subsets_sweep(perms, n):
+        if a != (1 << n) - 1 and _popcount(a) != 1:
+            return False, "only trivial invariant subsets", _atoms(a)
+    return True, None, None

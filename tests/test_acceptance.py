@@ -81,6 +81,17 @@ def test_criterion_04_product_axioms(prod22, prod23, aut_mo2, aut_mo3):
             assert sorted(report.reports) == ["P0", "P1", "P2", "P3", "P4", "P5"]
 
 
+def test_criterion_04_product_axioms_on_the_mo3_square(mo3):
+    with criterion(4, "product axioms P0-P5 on MO(3) x MO(3)"):
+        lat, om = mo3
+        prod = seplat.aerts_product_sharp(lat, om, lat, om)
+        aut = seplat.enumerate_automorphisms(lat)
+        assert len(aut) == 720
+        report = seplat.check_sproduct(prod, aut, aut)
+        assert report.passed, report.lines()
+        assert report.reports["P4"].checked == 720 * 720 == 518400
+
+
 def test_criterion_05_automorphism_factorization(prod22):
     with criterion(5, "automorphism factorization count"):
         started = time.perf_counter()

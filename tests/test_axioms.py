@@ -12,7 +12,9 @@ from seplat.axioms import _check_embedding_morphism, induced_pair_group
 from seplat.bitset import atoms_of, popcount
 from seplat.errors import CoveringError, SizeCapError, ValidationError
 from seplat.perm import Automorphism, AutoGroup
-from seplat.product import CheckReport, _subset_pools
+from seplat.product import CheckReport, ProductLattice, _subset_pools
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +174,82 @@ def test_sproduct_axiom_failure_is_reported(prod22, aut_mo2):
     assert any("FAIL" in line for line in rep.lines())
 
 
+# P4 evaluates only the spanning pairs (u1, v2) and (v1, u2) and falls
+# back to every pair when the guard fails or one of them fails; its report
+# must equal the all-pairs reference in every case.
+
+
+def _p4(prod, t1, t2):
+    report = seplat.check_sproduct(prod, t1, t2).reports["P4"]
+    return report.passed, report.checked, report.failures
+
+
+def _corrupted22(prod22):
+    sets = set(prod22.base.closed_sets) | {0b11}
+    return dataclasses.replace(prod22, base=Lattice.from_closed_family(16, sets))
+
+
+def _random_members(group, rng):
+    """A seeded nonempty sample of a group's members, without the identity
+    half the time."""
+    members = list(group)
+    if rng.random() < 0.5:
+        members = [u for u in members if not u.is_identity()]
+    sample = rng.sample(members, rng.randint(1, min(len(members), 8)))
+    return AutoGroup(group.lattice, sample)
+
+
+def test_p4_matches_all_pairs_on_full_groups(prod22, aut_mo2):
+    got = _p4(prod22, aut_mo2, aut_mo2)
+    assert got == oracles.p4_all_pairs(prod22, aut_mo2, aut_mo2)
+    assert got == (True, 576, [])
+
+
+def test_p4_matches_all_pairs_on_random_member_lists(prod22, prod23, aut_mo2, aut_mo3):
+    rng = random.Random(11)
+    corrupted = _corrupted22(prod22)
+    verdicts = set()
+    for _ in range(12):
+        for prod, g1, g2 in (
+            (prod22, aut_mo2, aut_mo2),
+            (corrupted, aut_mo2, aut_mo2),
+            (prod23, aut_mo2, aut_mo3),
+        ):
+            t1, t2 = _random_members(g1, rng), _random_members(g2, rng)
+            got = _p4(prod, t1, t2)
+            assert got == oracles.p4_all_pairs(prod, t1, t2)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_p4_failures_on_a_corrupted_base_match_all_pairs(prod22, aut_mo2):
+    corrupted = _corrupted22(prod22)
+    got = _p4(corrupted, aut_mo2, aut_mo2)
+    assert got == oracles.p4_all_pairs(corrupted, aut_mo2, aut_mo2)
+    assert got[1] == 576 and 0 < len(got[2]) < 576
+
+
+def test_p4_on_a_base_with_fewer_atoms_than_pairs(mo1):
+    # MO(1) x MO(1) has four pair atoms; this base has three, so the pair
+    # maps do not permute its atoms and every pair is evaluated.
+    left, _ = mo1
+    base = Lattice.from_closed_family(3, [0, 1, 2, 4, 7])
+    h = {0: 0, 1: 1, 2: 2, 3: 7}
+    prod = ProductLattice(base, left, left, h, dict(h), "external")
+    aut = seplat.enumerate_automorphisms(left)
+    assert base.atom_count != prod.pair_count
+    got = _p4(prod, aut, aut)
+    assert got == oracles.p4_all_pairs(prod, aut, aut)
+    assert got[1] == 4 and got[2]
+
+
+def test_p4_with_an_empty_member_list(prod22, aut_mo2):
+    empty = AutoGroup(prod22.left, ())
+    for t1, t2 in ((empty, aut_mo2), (aut_mo2, empty), (empty, empty)):
+        got = _p4(prod22, t1, t2)
+        assert got == oracles.p4_all_pairs(prod22, t1, t2) == (True, 0, [])
+
+
 def _corrupt(h, base, factor, rng):
     """A seeded corruption of an embedding: one image replaced by a random
     base element, two images swapped, or the factor's atoms relabelled
@@ -262,6 +340,38 @@ def test_invariant_block_refutes_strong_transitivity(mo3):
     assert not res.ok
     assert res.condition == "only trivial invariant subsets"
     assert res.witness in ((0, 1, 2), (3, 4, 5))
+
+
+def test_strong_transitivity_matches_the_pair_loops(mo2, mo3, b3, aut_mo2, aut_mo3):
+    # Seeded member lists of Aut(MO(2)), Aut(MO(3)), Aut(B3) and S3 wr S2,
+    # half of them without the identity, against the scan of every member
+    # per pair; S3 wr S2 reaches the subset condition.
+    rng = random.Random(5)
+    outcomes = set()
+    groups = [
+        (mo2[0], list(aut_mo2)),
+        (mo3[0], list(aut_mo3)),
+        (b3[0], list(seplat.enumerate_automorphisms(b3[0]))),
+        (mo3[0], _wreath_s3_s2()),
+    ]
+    for _ in range(200):
+        lat, members = rng.choice(groups)
+        sample = rng.sample(members, rng.randint(1, min(len(members), 40)))
+        if rng.random() < 0.5:
+            sample = [u for u in sample if not u.is_identity()] or sample
+        else:
+            sample.append(Automorphism.identity(lat.atom_count))
+        res = seplat.strongly_transitive(lat, AutoGroup(lat, sample))
+        want = oracles.strongly_transitive_pairs(lat.atom_count, [u.perm for u in sample])
+        assert (res.ok, res.condition, res.witness) == want
+        outcomes.add(res.condition)
+    assert outcomes == {
+        None,
+        "identity is a member",
+        "atom transitivity",
+        "some member fixes p and moves q",
+        "only trivial invariant subsets",
+    }
 
 
 def test_atom_cap_and_sample_mode(prod23, induced23):

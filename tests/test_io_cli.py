@@ -1,6 +1,7 @@
 """JSON document round-trips, DOT export, and the command-line interface."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -344,3 +345,74 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         fh.write("{broken")
     assert main(["check", bad]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- fuzzed documents ---------------------------------------------------------
+
+
+def _json_paths(node, prefix=()):
+    """Every path of keys and list positions inside a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutant(text, kind, rng):
+    """One seeded mutation of a JSON document: a key deleted, a value of
+    another type, an integer out of range, or the text truncated."""
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    data = json.loads(text)
+    paths = list(_json_paths(data))
+
+    def parent(path):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        return node
+
+    if kind == "delete":
+        path = rng.choice([p for p in paths if isinstance(p[-1], str)])
+        del parent(path)[path[-1]]
+    elif kind == "retype":
+        path = rng.choice(paths)
+        parent(path)[path[-1]] = rng.choice(["x", 1.5, None, True, [], {}, [[0]], {"a": 1}])
+    else:
+        path = rng.choice([p for p in paths if type(parent(p)[p[-1]]) is int])
+        parent(path)[path[-1]] = rng.choice([-1, -100, 16, 114, 10**6, 2**70])
+    return json.dumps(data)
+
+
+def test_cli_exits_cleanly_on_mutated_documents(tmp_path, docs, capsys):
+    # Every mutant of a lattice and a product document gives exit code 0, 1
+    # or 2 on check, sproduct-check --T id and characterize, never an
+    # exception out of main.
+    rng = random.Random(17)
+    mutant = str(tmp_path / "mutant.json")
+    codes = set()
+    for name in ("mo2", "prod"):
+        text = Path(docs[name]).read_text()
+        for kind in ("delete", "retype", "index", "truncate"):
+            for _ in range(12):
+                Path(mutant).write_text(_mutant(text, kind, rng))
+                if name == "mo2":
+                    triple = [docs["prod"], docs["mo2"], mutant]
+                else:
+                    triple = [mutant, docs["mo2"], docs["mo2"]]
+                for argv in (
+                    ["check", mutant],
+                    ["sproduct-check", *triple, "--T", "id"],
+                    ["characterize", *triple],
+                ):
+                    code = main(argv)
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2), (argv, code)
+                    assert "Traceback" not in err
+                    codes.add(code)
+    assert 2 in codes

@@ -335,6 +335,24 @@ def test_validate_matches_the_pairwise_oracle(data):
 
 
 @given(complete_lattices())
+@settings(max_examples=150, deadline=None)
+def test_covers_match_the_ordered_pair_scan(lat):
+    # compared as a sequence: `upper_covers` and DOT edges keep its order
+    assert list(lat.covers()) == oracles.ordered_covers(lat.closed_sets)
+
+
+def test_covers_order_on_products_and_geometries(prod23, mo1):
+    lattices = [
+        prod23.base,
+        seplat.build_subspace_lattice(2, 3),
+        seplat.build_boolean(4)[0],
+        mo1[0],
+    ]
+    for lat in lattices:
+        assert list(lat.covers()) == oracles.ordered_covers(lat.closed_sets)
+
+
+@given(complete_lattices())
 @settings(max_examples=100, deadline=None)
 def test_covers_pair_matches_the_cover_relation(lat):
     covers = set(lat.covers())
