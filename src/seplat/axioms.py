@@ -307,9 +307,11 @@ def _check_embedding_morphism(
         )
 
 
-def _pair_perm(u1: Automorphism, u2: Automorphism, n1: int, n2: int) -> tuple[int, ...]:
-    """The pair-atom permutation (p1, p2) -> (u1 p1, u2 p2)."""
-    return tuple(u1.perm[i] * n2 + u2.perm[j] for i in range(n1) for j in range(n2))
+def _pair_perm(u1: tuple[int, ...], u2: tuple[int, ...]) -> tuple[int, ...]:
+    """The pair-atom permutation (p1, p2) -> (u1 p1, u2 p2), pair (i, j)
+    being atom i * n2 + j."""
+    n2 = len(u2)
+    return tuple(a * n2 + b for a in u1 for b in u2)
 
 
 def check_sproduct(
@@ -334,17 +336,17 @@ def check_sproduct(
         (p1, p2) -> (u1 p1, u2 p2) of the base that preserves the closed
         family, checked on the base's meet-irreducibles, which the
         permutation must map into themselves (equivalent; see
-        `Lattice.meet_irreducibles`).  With v1, v2 the first members of
-        t1 and t2, only the |t1| + |t2| − 1 spanning pairs (u1, v2) and
-        (v1, u2) are evaluated: when the pair maps permute every base
-        atom, those that pass are automorphisms of the base, which form a
-        group, and (u1, u2) = (u1, v2) ∘ (v1, v2)⁻¹ ∘ (v1, u2), so every
-        pair passes.  This needs neither the identity in t1 or t2 nor
-        closure under composition.  `checked` counts the pairs certified,
+        `Lattice.meet_irreducibles`).  Only the pairs (g, id) and (id, g)
+        are evaluated, for g a strong generator of t1 or t2: when the pair
+        maps permute every base atom, those that pass are automorphisms
+        of the base, which form a group, and every pair is a product of
+        them, so every pair passes.  `checked` counts the pairs certified,
         |t1|·|t2|, not the maps evaluated.  When the base has other atoms
-        than the pairs, or a spanning pair fails, every pair is evaluated
-        in order, so the failures and their witnesses are those of the
-        all-pairs loop.
+        than the pairs, or a generator pair fails, every pair of members
+        is evaluated in lexicographic order, so the failures and their
+        witnesses are those of the all-pairs loop; a base with atoms
+        beyond the pairs fails every pair, as its top holds an atom no
+        pair map reaches.
     P5: the atoms of the base are exactly the embedded atom meets.
     """
     base, left, right = product.base, product.left, product.right
@@ -390,24 +392,26 @@ def check_sproduct(
     p4 = CheckReport("P4")
     n1, n2 = left.atom_count, right.atom_count
     fam = base.meet_irreducibles()
-    members1, members2 = tuple(t1), tuple(t2)
+    beyond = base.atom_count > n1 * n2
 
-    def preserved(u1: Automorphism, u2: Automorphism) -> bool:
-        pair_perm = _pair_perm(u1, u2, n1, n2)
-        return _kernels.family_preserved(pair_perm, fam, base.atom_count)
+    def preserved(u1: tuple[int, ...], u2: tuple[int, ...]) -> bool:
+        if beyond:
+            return False
+        return _kernels.family_preserved(_pair_perm(u1, u2), fam, base.atom_count)
 
-    certified = False
-    if base.atom_count == n1 * n2 and members1 and members2:
-        v1, v2 = members1[0], members2[0]
-        certified = all(preserved(u1, v2) for u1 in members1) and all(
-            preserved(v1, u2) for u2 in members2[1:]
-        )
+    id1, id2 = tuple(range(n1)), tuple(range(n2))
+    certified = (
+        base.atom_count == n1 * n2
+        and all(preserved(g.perm, id2) for g in t1.generators)
+        and all(preserved(id1, g.perm) for g in t2.generators)
+    )
     if certified:
-        p4.checked = len(members1) * len(members2)
+        p4.checked = t1.order * t2.order
     else:
-        for u1 in members1:
+        members2 = tuple(t2)
+        for u1 in t1:
             for u2 in members2:
-                p4.record(preserved(u1, u2), (u1.perm, u2.perm))
+                p4.record(preserved(u1.perm, u2.perm), (u1.perm, u2.perm))
     rep.reports["P4"] = p4
 
     p5 = CheckReport("P5")
@@ -445,49 +449,91 @@ def _invariant_subsets(perms: list[tuple[int, ...]], n: int) -> list[int]:
     return _kernels.invariant_subsets(perms, n)
 
 
-def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResult:
-    """Check that a set of automorphisms acts strongly transitively.
+def _block_of(perms: list[tuple[int, ...]], n: int, atoms: int) -> int:
+    """The smallest block holding the atoms of the mask `atoms`: the class
+    holding them in the finest partition that the permutations map onto
+    itself (Atkinson, Math. Comp. 29 (1975) 911–913).  Union-find: each
+    merge of two classes queues the merged pair, whose images under every
+    permutation are merged in turn, so at most n − 1 pairs are queued."""
+    parent = list(range(n))
 
-    Requires the identity, atom transitivity, the fix-one-move-another
-    condition (for p != q some member fixes p and moves q), and the
-    subset condition: any nonempty atom subset A with u(A) ∩ A ∈
-    {u(A), ∅} for every member u is the full set or a singleton.  The
-    subset condition sweeps all subsets, so it raises SizeCapError above
-    `SWEEP_ATOM_CAP` atoms.
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+        return ra != rb
+
+    listed = atoms_of(atoms)
+    queue = [(listed[0], b) for b in listed[1:] if union(listed[0], b)]
+    for a, b in queue:
+        for perm in perms:
+            if union(perm[a], perm[b]):
+                queue.append((perm[a], perm[b]))
+    root = find(listed[0])
+    return mask_of(p for p in range(n) if find(p) == root)
+
+
+def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResult:
+    """Check that a group of automorphisms acts strongly transitively.
+
+    Requires atom transitivity, the fix-one-move-another condition (for
+    p != q some member fixes p and moves q), and the subset condition:
+    any nonempty atom subset A with u(A) ∩ A ∈ {u(A), ∅} for every
+    member u is the full set or a singleton.  Each condition is read off
+    the group's stabilizer chain and generators, and the first witness is
+    the one a scan of every pair (p, q), then of every subset in mask
+    order, would report.
+
+    - Atom transitivity: the orbit of atom 0 is every atom, or (0, q)
+      fails for the smallest atom q outside it.
+    - Fix-one-move-another: the members fixing p are t_p G_0 t_p⁻¹, with
+      t_p a member sending 0 to p, so the atoms they move are the t_p
+      images of the atoms that the generators fixing 0 move.
+    - Subset condition: for a transitive group, the subsets A are its
+      blocks, so it holds exactly when the group is primitive, that is
+      when the smallest block holding {0, q} is every atom for each q.
+      When some block is smaller, the witness is the first block in mask
+      order: the sweep over the generators keeps every block, and each
+      survivor is a block exactly when it is its own smallest block.
+      Above `SWEEP_ATOM_CAP` atoms, where the sweep is refused, the
+      witness is the smallest block holding {0, q} for the first such q.
     """
     n = lattice.atom_count
-    perms = [u.perm for u in group]
-    if not group.contains_identity():
-        return TransitivityResult(False, "identity is a member", None)
-    # One pass over the members: images[p] holds every atom some member
-    # sends p to, moved_by_stabilizer[p] every atom some member fixing p
-    # moves.  The conditions then read bits, in the order of the pair loops.
+    if n == 0:
+        return TransitivityResult(True)
     full = full_mask(n)
-    images = [0] * n
-    moved_by_stabilizer = [0] * n
-    for perm in perms:
-        moved = 0
-        for p, image in enumerate(perm):
-            images[p] |= 1 << image
-            if image != p:
-                moved |= 1 << p
-        for p in iter_atoms(full & ~moved):
-            moved_by_stabilizer[p] |= moved
+    transversal = group.transversal(0)
+    outside = full & ~mask_of(transversal)
+    if outside:
+        return TransitivityResult(False, "atom transitivity", (0, atoms_of(outside)[0]))
+    moved_by_stabilizer = 0
+    for g in group.generators:
+        if g.perm[0] == 0:
+            moved_by_stabilizer |= mask_of(p for p, image in enumerate(g.perm) if p != image)
     for p in range(n):
-        for q in range(n):
-            if not images[p] >> q & 1:
-                return TransitivityResult(False, "atom transitivity", (p, q))
-    for p in range(n):
-        for q in range(n):
-            if p != q and not moved_by_stabilizer[p] >> q & 1:
-                return TransitivityResult(
-                    False, "some member fixes p and moves q", (p, q)
-                )
-    for m in _invariant_subsets(perms, n):
-        if m != full and popcount(m) != 1:
+        unmoved = full & ~transversal[p](moved_by_stabilizer) & ~(1 << p)
+        if unmoved:
             return TransitivityResult(
-                False, "only trivial invariant subsets", atoms_of(m)
+                False, "some member fixes p and moves q", (p, atoms_of(unmoved)[0])
             )
+    perms = [g.perm for g in group.generators]
+    for q in range(1, n):
+        block = _block_of(perms, n, 1 | 1 << q)
+        if block == full:
+            continue
+        if n <= SWEEP_ATOM_CAP:
+            block = next(
+                m
+                for m in _invariant_subsets(perms, n)
+                if m != full and popcount(m) > 1 and _block_of(perms, n, m) == m
+            )
+        return TransitivityResult(False, "only trivial invariant subsets", atoms_of(block))
     return TransitivityResult(True)
 
 
@@ -514,14 +560,18 @@ class ClassificationResult:
 
 def induced_pair_group(product: ProductLattice, t1: AutoGroup, t2: AutoGroup) -> AutoGroup:
     """The pair-atom permutations (p1, p2) -> (u1 p1, u2 p2) for all
-    (u1, u2) from t1 x t2, as an automorphism group of the product base.
+    (u1, u2) from t1 x t2, as an automorphism group of the product base,
+    generated by the pairs (g, id) and (id, g) for the strong generators
+    g of t1 and t2.
 
     On a square product this is the index-two subgroup of the full
     automorphism group that excludes the factor-swapping maps.
     """
-    n1, n2 = product.left.atom_count, product.right.atom_count
-    members = [Automorphism(_pair_perm(u1, u2, n1, n2)) for u1 in t1 for u2 in t2]
-    return AutoGroup(product.base, members)
+    id1 = tuple(range(product.left.atom_count))
+    id2 = tuple(range(product.right.atom_count))
+    gens = [Automorphism(_pair_perm(g.perm, id2)) for g in t1.generators]
+    gens += [Automorphism(_pair_perm(id1, g.perm)) for g in t2.generators]
+    return AutoGroup(product.base, gens)
 
 
 def classify_invariant_subsets(

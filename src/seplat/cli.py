@@ -146,7 +146,7 @@ def _cmd_aut(args) -> int:
     if args.factor:
         prod = io.load_product(args.file, *args.factor)
         group = morphisms.enumerate_automorphisms(prod.base)
-        print(f"automorphisms: {len(group)}")
+        print(f"automorphisms: {group.order}")
         sides = {"straight": 0, "swapped": 0}
         for k, u in enumerate(group):
             res = morphisms.factor_automorphism(prod, u)
@@ -159,7 +159,7 @@ def _cmd_aut(args) -> int:
     else:
         lat, _ = io.load_lattice_file(args.file)
         group = morphisms.enumerate_automorphisms(lat)
-        print(f"automorphisms: {len(group)}")
+        print(f"automorphisms: {group.order}")
         if args.list:
             for u in group:
                 print(",".join(map(str, u.perm)))

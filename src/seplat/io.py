@@ -69,20 +69,23 @@ class LatticeDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeDocument":
+        """Read a document, requiring every atom and element index to be a
+        JSON integer: a float or a numeric string is not an index."""
         try:
             atoms = list(data["atoms"])
-            closed = [list(map(int, s)) for s in data["closed_sets"]]
-        except (KeyError, TypeError, ValueError) as e:
+            closed = [list(s) for s in data["closed_sets"]]
+        except (KeyError, TypeError) as e:
             raise ValidationError("document has atoms and closed_sets", str(e)) from e
         for s in closed:
-            if not all(0 <= a < len(atoms) for a in s):
+            if not all(type(a) is int and 0 <= a < len(atoms) for a in s):
                 raise ValidationError("members use atoms 0..atom_count-1", tuple(s))
         ortho = data.get("ortho_elements")
         if ortho is not None:
-            try:
-                ortho = list(map(int, ortho))
-            except (TypeError, ValueError) as e:
-                raise ValidationError("ortho_elements lists element indices", str(e)) from e
+            if not isinstance(ortho, list):
+                raise ValidationError("ortho_elements lists element indices", ortho)
+            for i in ortho:
+                if type(i) is not int:
+                    raise ValidationError("ortho_elements lists element indices", i)
         meta = data.get("meta") or {}
         if not isinstance(meta, dict):
             raise ValidationError("meta is an object", meta)
@@ -192,7 +195,7 @@ def load_product(
         if not isinstance(indices, list) or len(indices) != len(factor.closed_sets):
             raise ValidationError(f"product document carries {key}", indices)
         for src, dst in zip(factor.closed_sets, indices):
-            if not isinstance(dst, int) or not 0 <= dst < len(order):
+            if type(dst) is not int or not 0 <= dst < len(order):
                 raise ValidationError(f"{key} indices in range", dst)
             if order[dst] != emb[src]:
                 raise ValidationError(

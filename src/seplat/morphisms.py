@@ -34,7 +34,7 @@ from .ortho import OrthoMap, validate_ortho
 from .perm import Automorphism, AutoGroup
 from .product import ProductLattice, aerts_product_general, aerts_product_sharp, otimes
 
-AUTOMORPHISM_ATOM_CAP = 24
+ORTHO_ATOM_CAP = 24
 
 
 def _atom_pair_counts(lattice: Lattice) -> list[list[int]]:
@@ -61,62 +61,155 @@ def _atom_profiles(counts: list[list[int]]) -> list[tuple]:
     ]
 
 
-def _atom_maps(counts_a: list[list[int]], counts_b: list[list[int]], leaf) -> None:
-    """Backtrack over the atom maps between two lattices with pair-count
-    tables `counts_a` and `counts_b` that keep every atom profile and pair
-    count, calling `leaf` on each complete map (atom i goes to perm[i]) in
-    lexicographic order until it returns True."""
-    n = len(counts_a)
-    prof_a = _atom_profiles(counts_a)
-    prof_b = prof_a if counts_b is counts_a else _atom_profiles(counts_b)
-    assigned = [-1] * n
-    used = [False] * n
+def _pair_closures(lattice: Lattice) -> list[list[int]]:
+    """closures[p][q] = the closure of {p, q}."""
+    n = lattice.atom_count
+    closures = [[0] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1):
+            closures[p][q] = closures[q][p] = lattice.closure(1 << p | 1 << q)
+    return closures
 
-    def dfs(k: int) -> bool:
-        if k == n:
-            return leaf(tuple(assigned))
-        for x in range(n):
-            if used[x] or prof_b[x] != prof_a[k]:
+
+class _AtomMaps:
+    """Partial atom maps from lattice `a` to lattice `b`, grown one atom at
+    a time in index order (atom k of `a` goes to atom image[k] of `b`), and
+    a depth-first search that extends the current one.
+
+    A map is kept while it keeps the atom profiles, the pair counts, and
+    the pair closures: for every assigned q < k, the assigned atoms in the
+    closure of {k, q} go onto the assigned atoms in the closure of
+    {image[k], image[q]}.  Every isomorphism keeps all three, so a map
+    that breaks one extends to none: the pruning loses no isomorphism, and
+    the first complete map found is the one an unpruned search in the
+    same order would find.  cand[j] holds the atoms of `b` that a still unassigned atom j
+    may go to under the pair counts with the assigned atoms; a map that
+    leaves some atom no free candidate is dropped at once."""
+
+    def __init__(self, a: Lattice, b: Lattice):
+        n = self.n = a.atom_count
+        self.counts_a = _atom_pair_counts(a)
+        self.closures_a = _pair_closures(a)
+        if b is a:
+            counts_b, self.closures_b = self.counts_a, self.closures_a
+        else:
+            counts_b, self.closures_b = _atom_pair_counts(b), _pair_closures(b)
+        self.profiles_a = _atom_profiles(self.counts_a)
+        self.profiles_b = _atom_profiles(counts_b)
+        by_profile: dict[tuple, int] = {}
+        for z, prof in enumerate(self.profiles_b):
+            by_profile[prof] = by_profile.get(prof, 0) | 1 << z
+        # classes_b[y][c]: the atoms z of b with c members holding y and z
+        self.classes_b = []
+        for row in counts_b:
+            classes: dict[int, int] = {}
+            for z, c in enumerate(row):
+                classes[c] = classes.get(c, 0) | 1 << z
+            self.classes_b.append(classes)
+        self.image: list[int] = []
+        self.used = 0
+        self.cand = [by_profile.get(self.profiles_a[j], 0) for j in range(n)]
+        self.saved: list[list[int]] = []
+
+    def _assign(self, x: int) -> bool:
+        """Send the next atom k = len(image) to x and return True, or
+        return False, changing nothing, when the map would break an
+        invariant."""
+        image, k, bit = self.image, len(self.image), 1 << x
+        if not self.cand[k] & bit or self.used & bit:
+            return False
+        dom = (1 << (k + 1)) - 1  # atoms 0..k of a
+        rng = self.used | bit  # their images
+        row_a, row_b = self.closures_a[k], self.closures_b[x]
+        for q in range(k):
+            y = image[q]
+            got = row_b[y] & rng
+            held = row_a[q] & dom
+            if held == dom:
+                if got != rng:
+                    return False
                 continue
-            ok = True
-            for q in range(k):
-                if counts_a[k][q] != counts_b[x][assigned[q]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[k] = x
-            used[x] = True
-            if dfs(k + 1):
-                return True
-            used[x] = False
-        assigned[k] = -1
+            rest = held & ~(1 << k | 1 << q)
+            want = bit | 1 << y
+            while rest:
+                low = rest & -rest
+                want |= 1 << image[low.bit_length() - 1]
+                rest ^= low
+            if got != want:
+                return False
+        counts_a, classes, free = self.counts_a, self.classes_b[x], ~rng
+        cand = self.cand[:]
+        for j in range(k + 1, self.n):
+            c = cand[j] & classes.get(counts_a[j][k], 0)
+            if not c & free:
+                return False
+            cand[j] = c
+        self.saved.append(self.cand)
+        self.cand = cand
+        image.append(x)
+        self.used = rng
+        return True
+
+    def _undo(self) -> None:
+        self.used &= ~(1 << self.image.pop())
+        self.cand = self.saved.pop()
+
+    def _extend(self, leaf) -> bool:
+        """Extend the current map in every way, in lexicographic order,
+        calling `leaf` on each complete map until it returns True; return
+        whether it did."""
+        if len(self.image) == self.n:
+            return leaf(tuple(self.image))
+        free = self.cand[len(self.image)] & ~self.used
+        while free:
+            low = free & -free
+            free ^= low
+            if self._assign(low.bit_length() - 1):
+                done = self._extend(leaf)
+                self._undo()
+                if done:
+                    return True
         return False
-
-    dfs(0)
 
 
 def enumerate_automorphisms(lattice: Lattice) -> AutoGroup:
-    """All atom permutations preserving the closed family, by backtracking
-    with pair-count pruning; each complete map is checked on the
-    meet-irreducibles (see `Lattice.meet_irreducibles`).  Members come out
-    in lexicographic order of their permutation tuples."""
+    """The automorphism group, as the transversals of its stabilizer chain
+    with base 0, 1, …, n−1.
+
+    With the identity on atoms 0..k−1 fixed, each atom x > k that k may go
+    to starts one search (see `_AtomMaps`), which stops at the first
+    complete map that preserves the closed family, checked on the
+    meet-irreducibles (see `Lattice.meet_irreducibles`).  The maps found
+    at level k are a full transversal of G_k+1 in G_k, G_k being the
+    members fixing 0..k−1, so the group order is the product of the
+    transversal sizes; members are listed by iterating the group."""
     n = lattice.atom_count
-    if n > AUTOMORPHISM_ATOM_CAP:
-        raise SizeCapError(
-            f"automorphism search over {n} atoms exceeds cap {AUTOMORPHISM_ATOM_CAP}"
-        )
     fam = lattice.meet_irreducibles()
-    found: list[Automorphism] = []
+    maps = _AtomMaps(lattice, lattice)
+    found: list[tuple[int, ...]] = []
 
     def leaf(perm: tuple[int, ...]) -> bool:
         if _kernels.family_preserved(perm, fam, n):
-            found.append(Automorphism(perm))
+            found.append(perm)
+            return True
         return False
 
-    counts = _atom_pair_counts(lattice)
-    _atom_maps(counts, counts, leaf)
-    return AutoGroup(lattice, found)
+    identity = tuple(range(n))
+    levels = []
+    for k in range(n):
+        level = {k: identity}
+        targets = maps.cand[k] & ~maps.used & ~(1 << k)
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            if maps._assign(low.bit_length() - 1):
+                if maps._extend(leaf):
+                    perm = found.pop()
+                    level[perm[k]] = perm
+                maps._undo()
+        levels.append(level)
+        maps._assign(k)
+    return AutoGroup._from_transversals(lattice, levels)
 
 
 @dataclass
@@ -224,10 +317,10 @@ def enumerate_orthocomplementations(
     assigned coatom indices; `limit` stops the search early.
     """
     n = lattice.atom_count
-    if n > AUTOMORPHISM_ATOM_CAP:
+    if n > ORTHO_ATOM_CAP:
         raise SizeCapError(
             f"orthocomplementation search over {n} atoms exceeds cap "
-            f"{AUTOMORPHISM_ATOM_CAP}"
+            f"{ORTHO_ATOM_CAP}"
         )
     coatoms = lattice.coatoms()
     found: list[OrthoMap] = []
@@ -275,30 +368,30 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
     """Search for an order isomorphism; returns the witnessing atom map
     (atom i of `a` goes to atom perm[i] of `b`) or None.
 
-    Quick invariants (atom count, family size, member size histogram) are
-    checked first; the backtracking uses the pair-count tables of both
-    lattices for pruning and, at the leaf, checks that the meet-irreducibles
-    of `a` land in `b`, which with equal family sizes means the whole
-    family maps onto `b` (see `Lattice.meet_irreducibles`).
+    Quick invariants (atom count, family size, member size histogram, atom
+    profiles) are checked first; the search (see `_AtomMaps`) returns the
+    lexicographically first atom map that, at the leaf, sends the
+    meet-irreducibles of `a` into `b`, which with equal family sizes means
+    the whole family maps onto `b` (see `Lattice.meet_irreducibles`).
     """
     if a.atom_count != b.atom_count or len(a) != len(b):
         return None
     if sorted(map(popcount, a.closed_sets)) != sorted(map(popcount, b.closed_sets)):
         return None
-    counts_a = _atom_pair_counts(a)
-    counts_b = _atom_pair_counts(b)
-    if sorted(_atom_profiles(counts_a)) != sorted(_atom_profiles(counts_b)):
+    maps = _AtomMaps(a, b)
+    if sorted(maps.profiles_a) != sorted(maps.profiles_b):
         return None
+    mi = a.meet_irreducibles()
     out: list[tuple[int, ...]] = []
 
     def leaf(perm: tuple[int, ...]) -> bool:
-        u = Automorphism(perm)
-        if any(u(s) not in b for s in a.meet_irreducibles()):
+        act = _kernels._mask_action(perm)
+        if any(act(s) not in b for s in mi):
             return False
         out.append(perm)
         return True
 
-    _atom_maps(counts_a, counts_b, leaf)
+    maps._extend(leaf)
     return out[0] if out else None
 
 

@@ -396,7 +396,8 @@ def ordered_covers(closed_sets) -> list[tuple[int, int]]:
 def p4_all_pairs(product, t1, t2):
     """(passed, checked, failures) of axiom P4 by evaluating every pair
     (u1, u2) of t1 x t2 in order: it passes when (p1, p2) -> (u1 p1, u2 p2)
-    maps every closed set of the base to a closed set; a failure records
+    maps every closed set of the base to a closed set, a closed set holding
+    an atom that is not a pair having no image; a failure records
     (u1.perm, u2.perm)."""
     n1, n2 = product.left.atom_count, product.right.atom_count
     family = set(product.base.closed_sets)
@@ -405,7 +406,10 @@ def p4_all_pairs(product, t1, t2):
         for u2 in t2:
             pair = [u1.perm[i] * n2 + u2.perm[j] for i in range(n1) for j in range(n2)]
             checked += 1
-            if not all(_image(pair, s) in family for s in family):
+            if not all(
+                max(_atoms(s), default=-1) < len(pair) and _image(pair, s) in family
+                for s in family
+            ):
                 failures.append((u1.perm, u2.perm))
     return not failures, checked, failures
 
@@ -438,3 +442,39 @@ def strongly_transitive_pairs(n: int, perms):
         if a != (1 << n) - 1 and _popcount(a) != 1:
             return False, "only trivial invariant subsets", _atoms(a)
     return True, None, None
+
+
+# -- permutation groups from their members or generators -------------------
+
+
+def is_group(perms) -> bool:
+    """True iff the permutation tuples hold the identity and are closed
+    under inverse and composition, checked on every pair."""
+    perms = [tuple(p) for p in perms]
+    seen = set(perms)
+    if not perms or tuple(range(len(perms[0]))) not in seen:
+        return False
+    for p in perms:
+        inv = [0] * len(p)
+        for i, image in enumerate(p):
+            inv[image] = i
+        if tuple(inv) not in seen:
+            return False
+    return all(tuple(p[i] for i in q) in seen for p in perms for q in perms)
+
+
+def generated_group(n: int, gens) -> list[tuple[int, ...]]:
+    """Every product of the generators (the identity for none), by a
+    breadth-first closure from the identity, sorted lexicographically."""
+    found = {tuple(range(n))}
+    frontier = list(found)
+    while frontier:
+        step = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[i] for i in p)
+                if q not in found:
+                    found.add(q)
+                    step.append(q)
+        frontier = step
+    return sorted(found)

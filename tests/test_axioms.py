@@ -8,7 +8,7 @@ import pytest
 
 import seplat
 from seplat import Covering, Lattice
-from seplat.axioms import _check_embedding_morphism, induced_pair_group
+from seplat.axioms import SWEEP_ATOM_CAP, _check_embedding_morphism, induced_pair_group
 from seplat.bitset import atoms_of, popcount
 from seplat.errors import CoveringError, SizeCapError, ValidationError
 from seplat.perm import Automorphism, AutoGroup
@@ -174,9 +174,10 @@ def test_sproduct_axiom_failure_is_reported(prod22, aut_mo2):
     assert any("FAIL" in line for line in rep.lines())
 
 
-# P4 evaluates only the spanning pairs (u1, v2) and (v1, u2) and falls
-# back to every pair when the guard fails or one of them fails; its report
-# must equal the all-pairs reference in every case.
+# P4 evaluates only the pairs (g, id) and (id, g) for the strong generators
+# g and falls back to every pair of members when the guard fails or one of
+# them fails; its report must equal the all-pairs reference over the
+# members of the generated groups in every case.
 
 
 def _p4(prod, t1, t2):
@@ -189,14 +190,22 @@ def _corrupted22(prod22):
     return dataclasses.replace(prod22, base=Lattice.from_closed_family(16, sets))
 
 
-def _random_members(group, rng):
+def _generated(lat, gens):
+    """The group generated by the permutation tuples `gens`, and its
+    members as the breadth-first closure oracle lists them."""
+    members = oracles.generated_group(lat.atom_count, gens)
+    return AutoGroup(lat, [Automorphism(g) for g in gens]), [
+        Automorphism(p) for p in members
+    ]
+
+
+def _random_members(group, rng, most=8):
     """A seeded nonempty sample of a group's members, without the identity
     half the time."""
-    members = list(group)
+    members = [u.perm for u in group]
     if rng.random() < 0.5:
-        members = [u for u in members if not u.is_identity()]
-    sample = rng.sample(members, rng.randint(1, min(len(members), 8)))
-    return AutoGroup(group.lattice, sample)
+        members = [p for p in members if p != tuple(range(len(p)))] or members
+    return rng.sample(members, rng.randint(1, min(len(members), most)))
 
 
 def test_p4_matches_all_pairs_on_full_groups(prod22, aut_mo2):
@@ -206,18 +215,23 @@ def test_p4_matches_all_pairs_on_full_groups(prod22, aut_mo2):
 
 
 def test_p4_matches_all_pairs_on_random_member_lists(prod22, prod23, aut_mo2, aut_mo3):
+    # Seeded member lists generate the groups; the reference runs over the
+    # members of the generated groups.  Aut(MO(3)) contributes one member,
+    # so that its cyclic group keeps the reference small.
     rng = random.Random(11)
     corrupted = _corrupted22(prod22)
     verdicts = set()
-    for _ in range(12):
-        for prod, g1, g2 in (
-            (prod22, aut_mo2, aut_mo2),
-            (corrupted, aut_mo2, aut_mo2),
-            (prod23, aut_mo2, aut_mo3),
+    for _ in range(8):
+        for prod, g1, g2, most2 in (
+            (prod22, aut_mo2, aut_mo2, 8),
+            (corrupted, aut_mo2, aut_mo2, 8),
+            (prod23, aut_mo2, aut_mo3, 1),
         ):
-            t1, t2 = _random_members(g1, rng), _random_members(g2, rng)
+            t1, m1 = _generated(prod.left, _random_members(g1, rng))
+            t2, m2 = _generated(prod.right, _random_members(g2, rng, most2))
+            assert [u.perm for u in t1] == [u.perm for u in m1]
             got = _p4(prod, t1, t2)
-            assert got == oracles.p4_all_pairs(prod, t1, t2)
+            assert got == oracles.p4_all_pairs(prod, m1, m2)
             verdicts.add(got[0])
     assert verdicts == {True, False}
 
@@ -243,11 +257,27 @@ def test_p4_on_a_base_with_fewer_atoms_than_pairs(mo1):
     assert got[1] == 4 and got[2]
 
 
+def test_p4_on_a_base_with_more_atoms_than_pairs(prod22, aut_mo2):
+    # Atom 16 joins every member of MO(2) x MO(2): no pair map reaches it,
+    # so every pair fails P4 (no raw IndexError), and P5 names the atom.
+    sets = set(prod22.base.closed_sets)
+    sets |= {m | 1 << 16 for m in sets}
+    bad = dataclasses.replace(prod22, base=Lattice.from_closed_family(17, sets))
+    rep = seplat.check_sproduct(bad, aut_mo2, aut_mo2)
+    got = _p4(bad, aut_mo2, aut_mo2)
+    assert got == oracles.p4_all_pairs(bad, aut_mo2, aut_mo2)
+    assert not got[0] and got[1] == len(got[2]) == 576
+    assert got[2][0] == ((0, 1, 2, 3), (0, 1, 2, 3))
+    assert rep.reports["P5"].failures == [[(16,)]]
+
+
 def test_p4_with_an_empty_member_list(prod22, aut_mo2):
+    # No generators give the trivial group, whose one member is the identity.
     empty = AutoGroup(prod22.left, ())
-    for t1, t2 in ((empty, aut_mo2), (aut_mo2, empty), (empty, empty)):
+    assert [u.perm for u in empty] == [(0, 1, 2, 3)] and empty.generators == ()
+    for t1, t2, pairs in ((empty, aut_mo2, 24), (aut_mo2, empty, 24), (empty, empty, 1)):
         got = _p4(prod22, t1, t2)
-        assert got == oracles.p4_all_pairs(prod22, t1, t2) == (True, 0, [])
+        assert got == oracles.p4_all_pairs(prod22, t1, t2) == (True, pairs, [])
 
 
 def _corrupt(h, base, factor, rng):
@@ -308,11 +338,13 @@ def test_identity_group_is_not_strongly_transitive(mo2):
     assert res.condition == "atom transitivity"
 
 
-def test_missing_identity_is_detected(mo2):
-    swap = Automorphism((1, 0, 3, 2))
-    res = seplat.strongly_transitive(mo2[0], AutoGroup(mo2[0], (swap,)))
-    assert not res.ok
-    assert res.condition == "identity is a member"
+def test_a_lone_swap_generates_a_group_with_the_identity(mo2):
+    swap = (1, 0, 3, 2)
+    group, members = _generated(mo2[0], [swap])
+    assert [u.perm for u in group] == [u.perm for u in members] == [(0, 1, 2, 3), swap]
+    res = seplat.strongly_transitive(mo2[0], group)
+    want = oracles.strongly_transitive_pairs(4, [u.perm for u in members])
+    assert (res.ok, res.condition, res.witness) == want == (False, "atom transitivity", (0, 2))
 
 
 def _wreath_s3_s2():
@@ -334,7 +366,7 @@ def _wreath_s3_s2():
 
 def test_invariant_block_refutes_strong_transitivity(mo3):
     group = AutoGroup(mo3[0], _wreath_s3_s2())
-    group.verify_group()
+    assert oracles.is_group(u.perm for u in group)
     assert len(group) == 72
     res = seplat.strongly_transitive(mo3[0], group)
     assert not res.ok
@@ -344,8 +376,9 @@ def test_invariant_block_refutes_strong_transitivity(mo3):
 
 def test_strong_transitivity_matches_the_pair_loops(mo2, mo3, b3, aut_mo2, aut_mo3):
     # Seeded member lists of Aut(MO(2)), Aut(MO(3)), Aut(B3) and S3 wr S2,
-    # half of them without the identity, against the scan of every member
-    # per pair; S3 wr S2 reaches the subset condition.
+    # half of them without the identity, generate groups; the result must
+    # match the scan of every member of the generated group per pair.
+    # S3 wr S2 reaches the subset condition.
     rng = random.Random(5)
     outcomes = set()
     groups = [
@@ -356,27 +389,31 @@ def test_strong_transitivity_matches_the_pair_loops(mo2, mo3, b3, aut_mo2, aut_m
     ]
     for _ in range(200):
         lat, members = rng.choice(groups)
-        sample = rng.sample(members, rng.randint(1, min(len(members), 40)))
+        sample = [u.perm for u in rng.sample(members, rng.randint(1, min(len(members), 3)))]
         if rng.random() < 0.5:
-            sample = [u for u in sample if not u.is_identity()] or sample
-        else:
-            sample.append(Automorphism.identity(lat.atom_count))
-        res = seplat.strongly_transitive(lat, AutoGroup(lat, sample))
-        want = oracles.strongly_transitive_pairs(lat.atom_count, [u.perm for u in sample])
+            sample = [p for p in sample if p != tuple(range(len(p)))] or sample
+        group, generated = _generated(lat, sample)
+        res = seplat.strongly_transitive(lat, group)
+        want = oracles.strongly_transitive_pairs(
+            lat.atom_count, [u.perm for u in generated]
+        )
         assert (res.ok, res.condition, res.witness) == want
         outcomes.add(res.condition)
     assert outcomes == {
         None,
-        "identity is a member",
         "atom transitivity",
         "some member fixes p and moves q",
         "only trivial invariant subsets",
     }
 
 
-def test_atom_cap_and_sample_mode(prod23, induced23):
-    with pytest.raises(SizeCapError):
-        seplat.strongly_transitive(prod23.base, induced23)
+def test_imprimitive_group_past_the_sweep_cap_names_a_block(prod23, induced23):
+    # 24 pair atoms are past the sweep cap; the rows are blocks of the
+    # induced group, and the smallest block holding atoms 0 and 1 is row 0.
+    assert prod23.base.atom_count > SWEEP_ATOM_CAP
+    res = seplat.strongly_transitive(prod23.base, induced23)
+    assert (res.ok, res.condition) == (False, "only trivial invariant subsets")
+    assert res.witness == atoms_of(prod23.row(0)) == (0, 1, 2, 3, 4, 5)
 
 
 # -- invariant subset classification -------------------------------------------

@@ -319,6 +319,31 @@ def test_cli_rejects_wrong_embedding_index_in_range(tmp_path, docs, capsys, key)
     assert "FAIL" not in captured.out
 
 
+def test_cli_rejects_indices_that_are_not_integers(tmp_path, docs, capsys):
+    # a float atom index (MO(2) has no atom 3.7) and a numeric string as an
+    # orthocomplement index; bools are not indices either
+    good = json.loads(Path(docs["mo2"]).read_text())
+    bad = str(tmp_path / "bad.json")
+    cases = [
+        ("closed_sets", 5, [3.7], "members use atoms"),
+        ("closed_sets", 1, [0.0], "members use atoms"),
+        ("closed_sets", 1, [False], "members use atoms"),
+        ("ortho_elements", 0, str(good["ortho_elements"][0]), "ortho_elements lists"),
+        ("ortho_elements", 0, float(good["ortho_elements"][0]), "ortho_elements lists"),
+    ]
+    for key, position, value, law in cases:
+        data = json.loads(json.dumps(good))
+        data[key][position] = value
+        Path(bad).write_text(json.dumps(data))
+        assert main(["check", bad, "--ortho"]) == 2, (key, value)
+        assert law in capsys.readouterr().err
+    data = json.loads(Path(docs["prod"]).read_text())
+    data["meta"]["h1"][0] = True
+    Path(bad).write_text(json.dumps(data))
+    assert main(["sproduct-check", bad, docs["mo2"], docs["mo2"], "--T", "id"]) == 2
+    assert "h1 indices in range" in capsys.readouterr().err
+
+
 def test_load_product_reads_indices_in_document_order(tmp_path, docs, capsys):
     # generator-route documents carry no orthocomplementation, so nothing
     # forces their closed_sets into canonical order
@@ -365,7 +390,8 @@ def _json_paths(node, prefix=()):
 
 def _mutant(text, kind, rng):
     """One seeded mutation of a JSON document: a key deleted, a value of
-    another type, an integer out of range, or the text truncated."""
+    another type, an integer out of range, an integer written as a float or
+    as a numeric string, or the text truncated."""
     if kind == "truncate":
         return text[: rng.randrange(len(text))]
     data = json.loads(text)
@@ -385,7 +411,14 @@ def _mutant(text, kind, rng):
         parent(path)[path[-1]] = rng.choice(["x", 1.5, None, True, [], {}, [[0]], {"a": 1}])
     else:
         path = rng.choice([p for p in paths if type(parent(p)[p[-1]]) is int])
-        parent(path)[path[-1]] = rng.choice([-1, -100, 16, 114, 10**6, 2**70])
+        value = parent(path)[path[-1]]
+        if kind == "float":
+            value = rng.choice([float(value), value + 0.5])
+        elif kind == "numeric-string":
+            value = str(value)
+        else:
+            value = rng.choice([-1, -100, 16, 114, 10**6, 2**70])
+        parent(path)[path[-1]] = value
     return json.dumps(data)
 
 
@@ -398,7 +431,7 @@ def test_cli_exits_cleanly_on_mutated_documents(tmp_path, docs, capsys):
     codes = set()
     for name in ("mo2", "prod"):
         text = Path(docs[name]).read_text()
-        for kind in ("delete", "retype", "index", "truncate"):
+        for kind in ("delete", "retype", "index", "float", "numeric-string", "truncate"):
             for _ in range(12):
                 Path(mutant).write_text(_mutant(text, kind, rng))
                 if name == "mo2":

@@ -1,6 +1,8 @@
 """Automorphisms, factorization, orthocomplementation search,
 order isomorphism, and the product characterization."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,20 +53,36 @@ def test_automorphism_counts_match_brute_force(make, expected):
 
 
 def test_groups_verify_and_are_lexicographic(aut_mo2, b3):
-    aut_mo2.verify_group()
     perms = [u.perm for u in aut_mo2]
+    assert oracles.is_group(perms)
     assert perms == sorted(perms)
     group_b3 = seplat.enumerate_automorphisms(b3[0])
-    group_b3.verify_group()
+    assert oracles.is_group(u.perm for u in group_b3)
 
 
 def test_product_automorphism_count(aut_prod22):
     assert len(aut_prod22) == 24 * 24 * 2 == 1152
 
 
-def test_automorphism_atom_cap():
-    with pytest.raises(SizeCapError):
-        seplat.enumerate_automorphisms(_wide_mo_like(25))
+def test_automorphism_order_past_the_old_atom_cap():
+    # 25 atoms of a height-two lattice: every atom permutation is an
+    # automorphism, so the transversals hold 25, 24, ..., 1 maps.
+    group = seplat.enumerate_automorphisms(_wide_mo_like(25))
+    assert group.order == math.factorial(25)
+    assert len(group.generators) == 24 * 25 // 2
+
+
+@pytest.mark.parametrize(
+    "m,n,order",
+    [(3, 3, 2 * math.factorial(6) ** 2), (4, 4, 2 * math.factorial(8) ** 2)],
+    ids=["mo3xmo3", "mo4xmo4"],
+)
+def test_automorphism_orders_of_mo_squares(m, n, order):
+    # Each factor's atoms permute freely, and the swap exchanges the factors.
+    prod = seplat.aerts_product_sharp(*seplat.build_mo(m), *seplat.build_mo(n))
+    group = seplat.enumerate_automorphisms(prod.base)
+    assert len(group) == order
+    assert all(u.preserves(prod.base) for u in group.generators)
 
 
 def test_automorphism_rejects_non_permutations():
