@@ -12,10 +12,6 @@ time, so a call costs what its masks hold rather than a lookup table per
 permutation: callers check automorphisms on a lattice's few
 meet-irreducibles, and the invariant-subset sweep drops masks after the
 first permutations.
-
-`invariant_subsets` stops early, once only the full set and the
-singletons survive: every permutation keeps those, so the rest of the
-permutations cannot change the result.
 """
 
 from __future__ import annotations
@@ -70,21 +66,9 @@ def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]
     The condition says each permutation either maps A into itself (hence,
     bijectivity, onto itself) or clean off itself.  Exhaustive sweep over
     2**n_atoms − 1 masks, filtered one permutation at a time, so each
-    permutation only sees the masks every earlier one let through;
-    identity permutations are skipped since they satisfy the condition
-    for every A.
-
-    The sweep stops once only the full set and the singletons survive:
-    every permutation keeps those, so no later one can drop a survivor,
-    and since they always survive, that state is reached exactly when
-    the survivors number n_atoms + 1 (one, the full set, at one atom)."""
-    trivial = n_atoms + 1 if n_atoms > 1 else n_atoms
+    permutation only sees the masks every earlier one let through."""
     survivors = range(1, 1 << n_atoms)
     for perm in perms:
-        if len(survivors) == trivial:
-            break
-        if all(perm[i] == i for i in range(n_atoms)):
-            continue
         act = _mask_action(perm)
         survivors = [a for a in survivors if ((img := act(a)) & a) in (img, 0)]
     return list(survivors)

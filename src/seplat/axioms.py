@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from .bitset import atoms_of, full_mask, is_subset, iter_atoms, mask_of, popcount
-from .errors import CoveringError, SizeCapError
+from .errors import CoveringError, SizeCapError, ValidationError
 from .lattice import Lattice
 from .perm import Automorphism, AutoGroup
 from .product import CheckReport, ProductLattice, _subset_pools, otimes
@@ -350,6 +350,8 @@ def check_sproduct(
     P5: the atoms of the base are exactly the embedded atom meets.
     """
     base, left, right = product.base, product.left, product.right
+    _require_group_of(t1, left, "t1")
+    _require_group_of(t2, right, "t2")
     cov1 = cov1 or Covering.single_block(left)
     cov2 = cov2 or Covering.single_block(right)
     rep = SProductReport()
@@ -438,17 +440,6 @@ class TransitivityResult:
         return self.ok
 
 
-def _invariant_subsets(perms: list[tuple[int, ...]], n: int) -> list[int]:
-    """Every nonempty atom subset A with u(A) ∩ A ∈ {u(A), ∅} for every
-    permutation u, by the exhaustive sweep, which is capped at
-    `SWEEP_ATOM_CAP` atoms."""
-    if n > SWEEP_ATOM_CAP:
-        raise SizeCapError(
-            f"invariant-subset sweep over {n} atoms exceeds cap {SWEEP_ATOM_CAP}"
-        )
-    return _kernels.invariant_subsets(perms, n)
-
-
 def _block_of(perms: list[tuple[int, ...]], n: int, atoms: int) -> int:
     """The smallest block holding the atoms of the mask `atoms`: the class
     holding them in the finest partition that the permutations map onto
@@ -479,6 +470,42 @@ def _block_of(perms: list[tuple[int, ...]], n: int, atoms: int) -> int:
     return mask_of(p for p in range(n) if find(p) == root)
 
 
+def _blocks(group: AutoGroup) -> list[int]:
+    """Every block of the group, in ascending mask order: the nonempty
+    atom subsets A with u(A) ∩ A ∈ {u(A), ∅} for every member u.
+
+    A transitive group's blocks holding atom 0 are reached from {0} by
+    adding one atom q and taking the smallest block (`_block_of`): each
+    step stays inside any block holding the set and q, so every such block
+    is reached, and every block is the image of one of them under the
+    transversal of atom 0.  An intransitive group goes through the sweep
+    over its generators, capped at `SWEEP_ATOM_CAP` atoms, and a survivor
+    is a block exactly when it is its own smallest block.
+    """
+    n = group.lattice.atom_count
+    perms = [g.perm for g in group.generators]
+    if n and len(group.transversal(0)) == n:
+        full = full_mask(n)
+        holding_0 = [1]
+        for b in holding_0:
+            for q in atoms_of(full & ~b):
+                c = _block_of(perms, n, b | 1 << q)
+                if c not in holding_0:
+                    holding_0.append(c)
+        return sorted({t(b) for t in group.transversal(0).values() for b in holding_0})
+    if n > SWEEP_ATOM_CAP:
+        raise SizeCapError(
+            f"intransitive group's subset sweep over {n} atoms exceeds cap {SWEEP_ATOM_CAP}"
+        )
+    swept = _kernels.invariant_subsets(perms, n)
+    return [m for m in swept if _block_of(perms, n, m) == m] if perms else swept
+
+
+def _require_group_of(group: AutoGroup, lattice: Lattice, name: str) -> None:
+    if group.lattice != lattice:
+        raise ValidationError("group acts on the lattice", name)
+
+
 def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResult:
     """Check that a group of automorphisms acts strongly transitively.
 
@@ -499,11 +526,11 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
       blocks, so it holds exactly when the group is primitive, that is
       when the smallest block holding {0, q} is every atom for each q.
       When some block is smaller, the witness is the first block in mask
-      order: the sweep over the generators keeps every block, and each
-      survivor is a block exactly when it is its own smallest block.
-      Above `SWEEP_ATOM_CAP` atoms, where the sweep is refused, the
-      witness is the smallest block holding {0, q} for the first such q.
+      order.  That block is minimal, since a block inside it has a
+      smaller mask, and a minimal block is the t_p image of the smallest
+      block holding {0, q} for some q, so it is the least such image.
     """
+    _require_group_of(group, lattice, "group")
     n = lattice.atom_count
     if n == 0:
         return TransitivityResult(True)
@@ -523,16 +550,9 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
                 False, "some member fixes p and moves q", (p, atoms_of(unmoved)[0])
             )
     perms = [g.perm for g in group.generators]
-    for q in range(1, n):
-        block = _block_of(perms, n, 1 | 1 << q)
-        if block == full:
-            continue
-        if n <= SWEEP_ATOM_CAP:
-            block = next(
-                m
-                for m in _invariant_subsets(perms, n)
-                if m != full and popcount(m) > 1 and _block_of(perms, n, m) == m
-            )
+    smallest = {_block_of(perms, n, 1 | 1 << q) for q in range(1, n)} - {full}
+    if smallest:
+        block = min(t(b) for t in transversal.values() for b in smallest)
         return TransitivityResult(False, "only trivial invariant subsets", atoms_of(block))
     return TransitivityResult(True)
 
@@ -588,11 +608,13 @@ def classify_invariant_subsets(
     factor swap, which rules the rows and columns out as well (a swap
     sends a row to a column, overlapping it in exactly one pair atom).
 
-    The sweep is exhaustive and raises SizeCapError above
-    `SWEEP_ATOM_CAP` atoms; `mode` accepts only "exact".
+    The subsets R are the blocks of `group` (see `_blocks`); an
+    intransitive group above `SWEEP_ATOM_CAP` atoms raises SizeCapError.
+    `mode` accepts only "exact".
     """
     if mode != "exact":
         raise ValueError(f"unknown mode: {mode!r}")
+    _require_group_of(group, product.base, "group")
     full = product.base.top
     rows = {product.row(i) for i in range(product.left.atom_count)}
     cols = {product.col(j) for j in range(product.right.atom_count)}
@@ -608,5 +630,4 @@ def classify_invariant_subsets(
             return "column"
         return "unexpected"
 
-    invariant = _invariant_subsets([u.perm for u in group], product.base.atom_count)
-    return ClassificationResult([(m, tag(m)) for m in invariant])
+    return ClassificationResult([(m, tag(m)) for m in _blocks(group)])

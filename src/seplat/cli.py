@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import axioms, io, morphisms, ortho as ortho_mod, product as product_mod
 from .builders import LatticeSpec
-from .errors import CharacterizationError, SeplatError
+from .errors import CharacterizationError, FactorizationError, SeplatError
 from .lattice import Lattice
 from .perm import AutoGroup
 
@@ -147,15 +147,22 @@ def _cmd_aut(args) -> int:
         prod = io.load_product(args.file, *args.factor)
         group = morphisms.enumerate_automorphisms(prod.base)
         print(f"automorphisms: {group.order}")
-        sides = {"straight": 0, "swapped": 0}
-        for k, u in enumerate(group):
-            res = morphisms.factor_automorphism(prod, u)
-            sides[res.side] += 1
-            if args.list:
+        # The members that factor form a subgroup, and the side is a
+        # homomorphism to Z/2, so factoring the generators gives the split.
+        sides = set()
+        for g in group.generators:
+            try:
+                sides.add(morphisms.factor_automorphism(prod, g).side)
+            except FactorizationError as e:
+                raise FactorizationError(e.step, ("generator", g.perm, e.witness)) from e
+        if args.list:
+            for k, u in enumerate(group):
+                res = morphisms.factor_automorphism(prod, u)
                 left = ",".join(map(str, res.left_map))
                 right = ",".join(map(str, res.right_map))
                 print(f"u{k}: {res.side} left=({left}) right=({right})")
-        print(f"straight: {sides['straight']}  swapped: {sides['swapped']}")
+        swapped = group.order // 2 if "swapped" in sides else 0
+        print(f"straight: {group.order - swapped}  swapped: {swapped}")
     else:
         lat, _ = io.load_lattice_file(args.file)
         group = morphisms.enumerate_automorphisms(lat)

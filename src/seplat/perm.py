@@ -9,10 +9,11 @@ a chosen subgroup like the identity alone).
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
 from .lattice import Lattice
 
 
@@ -166,9 +167,10 @@ class AutoGroup:
 
     It is stored as a stabilizer chain with base 0, 1, …, n−1 (see
     `_schreier_sims`), so a generated group is a group and holds the
-    identity.  `order` and `len()` give its order, `generators` its strong
-    generators (the members other than the identity that the chain's
-    transversals hold), and iteration lists every member, built from the
+    identity.  `order` and `len()` give its order (`len()` raises
+    SizeCapError past `sys.maxsize`), `generators` its strong generators
+    (the members other than the identity that the chain's transversals
+    hold), and iteration lists every member, built from the
     chain, in lexicographic order of the permutation tuples.  Every
     generator must permute exactly the lattice's atoms.
     """
@@ -215,6 +217,10 @@ class AutoGroup:
         return {x: Automorphism(t) for x, t in sorted(self._levels[k].items())}
 
     def __len__(self):
+        if self.order > sys.maxsize:
+            raise SizeCapError(
+                f"group order {self.order} exceeds sys.maxsize, which caps len(); read .order"
+            )
         return self.order
 
     def __iter__(self):

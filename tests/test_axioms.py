@@ -408,8 +408,9 @@ def test_strong_transitivity_matches_the_pair_loops(mo2, mo3, b3, aut_mo2, aut_m
 
 
 def test_imprimitive_group_past_the_sweep_cap_names_a_block(prod23, induced23):
-    # 24 pair atoms are past the sweep cap; the rows are blocks of the
-    # induced group, and the smallest block holding atoms 0 and 1 is row 0.
+    # 24 pair atoms are past the sweep cap, which only intransitive groups
+    # meet; the rows and columns are blocks of the induced group, and the
+    # first block in mask order is row 0.
     assert prod23.base.atom_count > SWEEP_ATOM_CAP
     res = seplat.strongly_transitive(prod23.base, induced23)
     assert (res.ok, res.condition) == (False, "only trivial invariant subsets")
@@ -429,6 +430,19 @@ def test_induced_group_yields_rows_and_columns(prod22, aut_mo2):
     assert len(res.entries) == 25
 
 
+def test_induced_groups_past_the_sweep_cap_yield_rows_and_columns(mo3, prod23, induced23):
+    prod33 = seplat.aerts_product_sharp(*mo3, *mo3)
+    aut3 = seplat.enumerate_automorphisms(mo3[0])
+    for prod, group, want in (
+        (prod23, induced23, {"full": 1, "singleton": 24, "row": 4, "column": 6}),
+        (prod33, induced_pair_group(prod33, aut3, aut3), {"full": 1, "singleton": 36, "row": 6, "column": 6}),
+    ):
+        assert prod.base.atom_count > SWEEP_ATOM_CAP
+        res = seplat.classify_invariant_subsets(prod, group)
+        assert {tag: len(masks) for tag, masks in res.tags().items()} == want
+        assert [m for m, _ in res.entries] == sorted(m for m, _ in res.entries)
+
+
 def test_full_group_swaps_away_rows_and_columns(prod22, aut_prod22):
     res = seplat.classify_invariant_subsets(prod22, aut_prod22)
     tags = {tag: len(masks) for tag, masks in res.tags().items()}
@@ -445,9 +459,10 @@ def test_identity_group_leaves_everything_invariant(prod22):
 
 
 def test_sample_mode_on_the_larger_product(prod23, induced23):
-    # 24 atoms are past the sweep cap, and there is no sampled fallback
+    # The transitive induced group needs no sweep; the identity group on 24
+    # atoms is past the sweep cap, and there is no sampled fallback.
     with pytest.raises(SizeCapError):
-        seplat.classify_invariant_subsets(prod23, induced23)
+        seplat.classify_invariant_subsets(prod23, AutoGroup.identity_only(prod23.base))
     for mode in ("sample", "bogus"):
         with pytest.raises(ValueError):
             seplat.classify_invariant_subsets(prod23, induced23, mode=mode)
@@ -467,3 +482,28 @@ def test_classification_is_exact_up_to_the_sweep_cap(two):
     assert tags == {"full": 1, "singleton": 18, "unexpected": 20}
     sizes = sorted(popcount(m) for m in res.unexpected)
     assert sizes == [2] * 9 + [3] * 6 + [6] * 3 + [9] * 2
+
+
+# -- groups of another lattice ----------------------------------------------
+
+
+def test_check_sproduct_rejects_groups_of_another_lattice(prod22, aut_mo2, aut_mo3):
+    with pytest.raises(ValidationError) as exc:
+        seplat.check_sproduct(prod22, aut_mo3, aut_mo2)
+    assert (exc.value.law, exc.value.witness) == ("group acts on the lattice", "t1")
+    with pytest.raises(ValidationError) as exc:
+        seplat.check_sproduct(prod22, aut_mo2, aut_mo3)
+    assert (exc.value.law, exc.value.witness) == ("group acts on the lattice", "t2")
+
+
+def test_strongly_transitive_rejects_a_group_of_another_lattice(mo2, mo3, aut_mo2, aut_mo3):
+    for lat, group in ((mo2[0], aut_mo3), (mo3[0], aut_mo2)):
+        with pytest.raises(ValidationError) as exc:
+            seplat.strongly_transitive(lat, group)
+        assert exc.value.law == "group acts on the lattice"
+
+
+def test_classification_rejects_a_group_of_another_lattice(prod22, aut_mo2):
+    with pytest.raises(ValidationError) as exc:
+        seplat.classify_invariant_subsets(prod22, aut_mo2)
+    assert exc.value.law == "group acts on the lattice"

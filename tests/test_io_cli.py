@@ -245,7 +245,7 @@ def test_cli_sproduct_check(tmp_path, docs, capsys):
     capsys.readouterr()
 
 
-def test_cli_aut(docs, capsys):
+def test_cli_aut(tmp_path, docs, mo3, prod23, capsys):
     assert main(["aut", docs["mo2"]]) == 0
     assert "automorphisms: 24" in capsys.readouterr().out
 
@@ -258,6 +258,27 @@ def test_cli_aut(docs, capsys):
     text = capsys.readouterr().out
     assert "automorphisms: 1152" in text
     assert "straight: 576  swapped: 576" in text
+
+    # the split comes from the generators; the members are listed on request
+    assert main(["aut", docs["prod"], "--factor", docs["mo2"], docs["mo2"], "--list"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1152 + 2 and lines[-1] == "straight: 576  swapped: 576"
+    assert sum(" swapped " in line for line in lines) == 576
+
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("mo3", "prod23", "b2", "b22")}
+    io.dump_lattice(paths["mo3"], *mo3)
+    io.dump_product(paths["prod23"], prod23)
+    assert main(["aut", paths["prod23"], "--factor", docs["mo2"], paths["mo3"]]) == 0
+    text = capsys.readouterr().out
+    assert "automorphisms: 17280" in text and "straight: 17280  swapped: 0" in text
+
+    # every atom permutation of B(2) x B(2) is an automorphism; most do not factor
+    b2 = seplat.build_boolean(2)
+    io.dump_lattice(paths["b2"], *b2)
+    io.dump_product(paths["b22"], seplat.aerts_product_general(b2[0], b2[0]))
+    assert main(["aut", paths["b22"], "--factor", paths["b2"], paths["b2"]]) == 2
+    err = capsys.readouterr().err
+    assert "FactorizationError" in err and "'generator'" in err
 
 
 def test_cli_ortho_search(tmp_path, docs, capsys):

@@ -1,7 +1,5 @@
 """Kernel layer: agreement with brute force and algebraic properties."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,37 +107,6 @@ def test_invariant_subsets_match_brute_force(data):
 
 def test_invariant_subsets_identity_only():
     assert _kernels.invariant_subsets([(0, 1, 2)], 3) == list(range(1, 8))
-
-
-def _random_involution(n, rng):
-    atoms = rng.sample(range(n), n)
-    perm = list(range(n))
-    for k in range(0, rng.randrange(n + 1) // 2 * 2, 2):
-        a, b = atoms[k], atoms[k + 1]
-        perm[a], perm[b] = b, a
-    return tuple(perm)
-
-
-def test_invariant_subsets_stop_early_with_the_full_sweeps_result():
-    # Involutions keep many masks and full permutations few, so some lists
-    # leave only the full set and the singletons before their last
-    # permutation, where the sweep stops, and others never do.
-    rng = random.Random(13)
-    early = never = 0
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        perms = [
-            _random_involution(n, rng) if rng.random() < 0.7 else tuple(rng.sample(range(n), n))
-            for _ in range(rng.randint(1, 6))
-        ]
-        want = oracles.invariant_subsets_sweep(perms, n)
-        assert _kernels.invariant_subsets(perms, n) == want
-        trivial = sorted({(1 << n) - 1, *(1 << a for a in range(n))})
-        if want != trivial:
-            never += 1
-        elif oracles.invariant_subsets_sweep(perms[:-1], n) == trivial:
-            early += 1
-    assert early > 20 and never > 20
 
 
 # -- family preservation --------------------------------------------------

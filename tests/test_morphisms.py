@@ -417,6 +417,45 @@ def test_characterize_rejects_disconnected_factors(b3, mo2):
     assert exc.value.witness[0] == "left"
 
 
+FACTOR_BUILDERS = {
+    "MO(2)": lambda: seplat.build_mo(2)[0],
+    "MO(3)": lambda: seplat.build_mo(3)[0],
+    "B(2)": lambda: seplat.build_boolean(2)[0],
+    "B(3)": lambda: seplat.build_boolean(3)[0],
+}
+
+
+@st.composite
+def orthocomplemented_factors(draw):
+    """A factor from FACTOR_BUILDERS with its atoms relabelled, and one of
+    its orthocomplementations."""
+    name = draw(st.sampled_from(sorted(FACTOR_BUILDERS)))
+    lat = FACTOR_BUILDERS[name]()
+    sigma = draw(st.permutations(range(lat.atom_count)))
+    lat = Lattice.from_closed_family(lat.atom_count, [_relabel(s, sigma) for s in lat])
+    return name, lat, draw(st.sampled_from(seplat.enumerate_orthocomplementations(lat)))
+
+
+@given(orthocomplemented_factors(), orthocomplemented_factors())
+@settings(max_examples=40, deadline=None)
+def test_random_factors_characterize_exactly_when_both_are_mo(left, right):
+    # MO(n) meets every hypothesis; B(n) is not weakly connected.
+    (lname, l_lat, l_om), (rname, r_lat, r_om) = left, right
+    general = seplat.aerts_product_general(l_lat, r_lat)
+    sharp = seplat.aerts_product_sharp(l_lat, l_om, r_lat, r_om)
+    assert general.base == sharp.base
+    assert general.h1 == sharp.h1 and general.h2 == sharp.h2
+    if lname.startswith("MO") and rname.startswith("MO"):
+        res = seplat.characterize(sharp)
+        assert res.steps[-1] == "sharp-rebuild"
+        assert (res.induced_left, res.induced_right) == (l_om, r_om)
+    else:
+        with pytest.raises(CharacterizationError) as exc:
+            seplat.characterize(sharp)
+        assert exc.value.step == "factors-weakly-connected"
+        assert exc.value.witness[0] == ("left" if lname.startswith("B") else "right")
+
+
 def test_characterize_skips_hypotheses_on_request(prod22, aut_mo2):
     res = seplat.characterize(prod22, check_hypotheses=False)
     assert res.steps == [

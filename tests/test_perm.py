@@ -3,13 +3,16 @@ generators, each against the members of the generated group as the
 breadth-first closure oracle lists them."""
 
 import dataclasses
+import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seplat
 from seplat import Lattice
-from seplat.axioms import _block_of
+from seplat.axioms import _block_of, _blocks
+from seplat.errors import SizeCapError
 from seplat.perm import Automorphism, AutoGroup
 
 import oracles
@@ -61,6 +64,65 @@ def test_smallest_blocks_match_the_sweep(generating_set, data):
     assert _block_of(gens, n, atoms) == want
 
 
+@st.composite
+def block_generating_sets(draw, max_atoms=6):
+    """Generators of a transitive, an imprimitive or an intransitive group,
+    relabelled by a random atom permutation.  Transitive: random
+    permutations and an n-cycle.  Imprimitive: some generators of
+    S_a wr S_b, which moves the b blocks of a consecutive atoms.
+    Intransitive: each generator permutes the atoms below k and the rest,
+    so its powers can break a mask it keeps."""
+    kind = draw(st.sampled_from(["transitive", "imprimitive", "intransitive"]))
+    if kind == "imprimitive":
+        a, b = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+        n = a * b
+        within = [(1, 0) + tuple(range(2, a)), tuple(range(1, a)) + (0,)]
+        gens = [w + tuple(range(a, n)) for w in within]
+        gens += [tuple((p + a) % n for p in range(n))]
+        gens += [tuple(range(a, 2 * a)) + tuple(range(a)) + tuple(range(2 * a, n))]
+        gens = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4))
+    else:
+        n = draw(st.integers(min_value=2, max_value=max_atoms))
+        if kind == "transitive":
+            gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=2))
+            gens.append(tuple(range(1, n)) + (0,))
+        else:
+            k = draw(st.integers(min_value=1, max_value=n - 1))
+            parts = st.tuples(st.permutations(range(k)), st.permutations(range(k, n)))
+            gens = draw(st.lists(parts.map(lambda p: tuple(p[0]) + tuple(p[1])), max_size=3))
+    sigma = draw(st.permutations(range(n)))
+    inverse = [0] * n
+    for i, p in enumerate(sigma):
+        inverse[p] = i
+    return n, [tuple(sigma[g[inverse[i]]] for i in range(n)) for g in gens]
+
+
+# The sweep over the strong generators keeps {1, 3} and {2, 5}, which no
+# block is.
+@example((6, [(2, 0, 1, 5, 3, 4), (2, 1, 0, 4, 3, 5)]))
+# C2^3 acting on itself by xor: its blocks of four atoms holding atom 0
+# are no smallest block of a pair, only of a pair and one more atom.
+@example((8, [tuple(i ^ b for i in range(8)) for b in (1, 2, 4)]))
+@given(block_generating_sets())
+@settings(max_examples=200, deadline=None)
+def test_blocks_match_the_sweep_over_the_members(data):
+    n, gens = data
+    _, group = _group(n, gens)
+    members = oracles.generated_group(n, gens)
+    assert _blocks(group) == oracles.invariant_subsets_sweep(members, n)
+
+
+def test_len_refuses_orders_past_sys_maxsize():
+    group = seplat.enumerate_automorphisms(seplat.build_mo(11)[0])
+    # every permutation of the 22 atoms of MO(11) is an automorphism
+    assert group.order == math.factorial(22)
+    with pytest.raises(SizeCapError):
+        len(group)
+
+
+# Blocks {0, 5}, {1, 2}, {3, 4} and {0, 1, 3}, {2, 4, 5}: the first one
+# in mask order, {1, 2}, misses atom 0.
+@example((6, [(5, 2, 1, 4, 3, 0), (1, 3, 4, 0, 5, 2)]))
 @given(generating_sets(max_atoms=6))
 @settings(max_examples=150, deadline=None)
 def test_strong_transitivity_matches_the_pair_loops_on_generated_groups(data):
