@@ -8,7 +8,7 @@ unbounded, so no atom count is too wide for a mask.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(atoms: Iterable[int]) -> int:
@@ -45,6 +45,27 @@ def full_mask(n: int) -> int:
 
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
+
+
+def incidence_rows(masks: Sequence[int], n: int) -> list[int]:
+    """One row per atom p < n, as a mask over the indices of `masks`:
+    bit k of row p is set when masks[k] holds p."""
+    rows = [0] * n
+    for k, m in enumerate(masks):
+        for p in iter_atoms(m):
+            rows[p] |= 1 << k
+    return rows
+
+
+def holding(rows: Sequence[int], raw: int, width: int) -> int:
+    """The indices k < width of the masks that hold every atom of `raw`,
+    as a mask: the AND of the incidence rows of raw's atoms."""
+    sel = (1 << width) - 1
+    while raw and sel:
+        low = raw & -raw
+        sel &= rows[low.bit_length() - 1]
+        raw ^= low
+    return sel
 
 
 def family_key(mask: int) -> tuple[int, ...]:

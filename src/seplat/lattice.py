@@ -16,11 +16,21 @@ from .bitset import (
     atoms_of,
     canonical_family,
     full_mask,
+    holding,
+    incidence_rows,
     is_subset,
     iter_atoms,
     popcount,
 )
 from .errors import ForeignElementError, ValidationError
+
+
+def _require_atoms(mask: int, top: int) -> None:
+    """Raise ValidationError unless `mask` is a set of the atoms in `top`."""
+    if mask < 0:
+        raise ValidationError("members use atoms 0..atom_count-1", mask)
+    if mask & ~top:
+        raise ValidationError("members use atoms 0..atom_count-1", atoms_of(mask))
 
 
 class Lattice:
@@ -39,6 +49,7 @@ class Lattice:
         "_index",
         "_covers",
         "_meet_irreducibles",
+        "_atom_rows",
     )
 
     def __init__(
@@ -57,6 +68,7 @@ class Lattice:
         self._index = {m: i for i, m in enumerate(self.closed_sets)}
         self._covers = None
         self._meet_irreducibles = None
+        self._atom_rows = None
 
     # -- construction -------------------------------------------------
 
@@ -85,10 +97,7 @@ class Lattice:
             raise ValidationError("family is nonempty", ())
         top = full_mask(atom_count)
         for m in masks:
-            if m & ~top:
-                raise ValidationError(
-                    "members use atoms 0..atom_count-1", atoms_of(m)
-                )
+            _require_atoms(m, top)
         if mode == "complete":
             seeds = set(masks)
             seeds.add(0)
@@ -199,16 +208,33 @@ class Lattice:
         return self.closure(u)
 
     def closure(self, raw: int) -> int:
-        """Smallest closed superset of an arbitrary atom set."""
+        """Smallest closed superset of an arbitrary set of the lattice's
+        atoms; ValidationError for any other int.
+
+        The closure is a member, hence the meet of the meet-irreducibles
+        above it, and those are exactly the meet-irreducibles above `raw`.
+        Cost O(|raw| + #MI above raw)."""
         if raw in self._index:
             return raw
-        # The closure is a member, hence the meet of the meet-irreducibles
-        # above it, and those are exactly the meet-irreducibles above `raw`.
         acc = self.top
-        for m in self.meet_irreducibles():
-            if raw & ~m == 0:
-                acc &= m
+        _require_atoms(raw, acc)
+        for m in self._above(raw):
+            acc &= m
         return acc
+
+    def _above(self, raw: int) -> list[int]:
+        """The meet-irreducibles containing the atom set `raw`, in family
+        order, read off the incidence rows of raw's atoms."""
+        if self._atom_rows is None:
+            self.meet_irreducibles()
+        mi = self._meet_irreducibles
+        sel = holding(self._atom_rows, raw, len(mi))
+        out = []
+        while sel:
+            low = sel & -sel
+            out.append(mi[low.bit_length() - 1])
+            sel ^= low
+        return out
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << a for a in range(self.atom_count))
@@ -218,9 +244,9 @@ class Lattice:
 
         These are the maximal meet-irreducibles: a coatom's only strict
         superset is top, and every other proper element lies below some
-        coatom."""
-        mi = self.meet_irreducibles()
-        return tuple(m for m in mi if not any(m != t and m & ~t == 0 for t in mi))
+        coatom.  So they are the meet-irreducibles m with no other
+        meet-irreducible above m."""
+        return tuple(m for m in self.meet_irreducibles() if self._above(m) == [m])
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs (x, y) with y covering x, in family order: by x,
@@ -232,17 +258,15 @@ class Lattice:
         cannot exist.  closure(x | p) is the meet of the meet-irreducibles
         above x that hold p, so one pass over the meet-irreducibles above
         x finds all of them (top for an atom outside every such m).
-        Cost O(N·|MI|·n)."""
+        Cost O(|x| + Σ |m − x|) per member x, over the m above x."""
         if self._covers is None:
             top, index = self.top, self._index
-            mi = self.meet_irreducibles()
             out = []
             for x in self.closed_sets:
                 acc: dict[int, int] = {}
-                for m in mi:
-                    if x & ~m == 0:
-                        for p in iter_atoms(m & ~x):
-                            acc[p] = acc.get(p, top) & m
+                for m in self._above(x):
+                    for p in iter_atoms(m & ~x):
+                        acc[p] = acc.get(p, top) & m
                 candidates = set(acc.values())
                 if len(acc) < popcount(top & ~x):
                     candidates.add(top)
@@ -275,23 +299,45 @@ class Lattice:
 
         Computed in one pass in descending popcount order: a member is
         meet-irreducible exactly when the meet-irreducibles found before
-        it that contain it do not intersect to it.  Cost O(N·|MI|).
+        it that contain it do not intersect to it.  The pass keeps one
+        incidence row per atom p, whose bit k is set when the k-th
+        meet-irreducible found holds p, so the ones above x are the AND of
+        the rows of x's atoms.  Cost O(Σ_x (|x| + #MI above x)).  The
+        rows kept for `_above` are renumbered to family order.
         """
         if self._meet_irreducibles is None:
             top = self.top
             found: list[int] = []
+            rows = [0] * self.atom_count
             for x in sorted(self.closed_sets, key=popcount, reverse=True):
                 acc = top
-                for m in found:
-                    if x & ~m == 0:
-                        acc &= m
+                for k in iter_atoms(holding(rows, x, len(found))):
+                    acc &= found[k]
                 if acc != x:
+                    for p in iter_atoms(x):
+                        rows[p] |= 1 << len(found)
                     found.append(x)
             keep = set(found)
-            self._meet_irreducibles = tuple(
-                s for s in self.closed_sets if s in keep
-            )
+            mi = tuple(s for s in self.closed_sets if s in keep)
+            self._meet_irreducibles = mi
+            self._atom_rows = incidence_rows(mi, self.atom_count)
         return self._meet_irreducibles
+
+    def is_closure_of(self, seeds: Iterable[int]) -> bool:
+        """True iff closing `seeds` under intersection, with top added,
+        gives exactly this family.
+
+        The family is closed and holds top, so that closure lies inside
+        it exactly when every seed is a member.  It lies inside that
+        closure exactly when every meet-irreducible is a seed: each member
+        is the meet of the meet-irreducibles above it, and a
+        meet-irreducible, which is not top, is never the intersection of
+        strictly larger members, so it is one of the seeds it is an
+        intersection of."""
+        seeds = set(seeds)
+        return all(s in self._index for s in seeds) and all(
+            m in seeds for m in self.meet_irreducibles()
+        )
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
         self.require(x)

@@ -22,7 +22,7 @@ from .axioms import (
     strongly_transitive,
     weakly_connected,
 )
-from .bitset import atoms_of, is_subset, popcount
+from .bitset import atoms_of, holding, incidence_rows, is_subset, iter_atoms, popcount
 from .errors import (
     CharacterizationError,
     FactorizationError,
@@ -32,7 +32,13 @@ from .errors import (
 from .lattice import Lattice
 from .ortho import OrthoMap, validate_ortho
 from .perm import Automorphism, AutoGroup
-from .product import ProductLattice, aerts_product_general, aerts_product_sharp, otimes
+from .product import (
+    ProductLattice,
+    aerts_product_general,
+    aerts_product_sharp,
+    otimes,
+    sharp_relation,
+)
 
 ORTHO_ATOM_CAP = 24
 
@@ -501,15 +507,19 @@ def characterize(
     steps.append("delta-bijection")
 
     generated = aerts_product_general(left, right)
-    join_q = {
-        x: generated.base.join((generated.h1[x[0]], generated.h2[x[1]]))
-        for x in xi_pairs
-    }
+    # iso(a) is the meet of the join_p[x] whose join_q[x] holds a, read
+    # off the incidence rows of the join_q over a's atoms.
+    join_q = [
+        generated.base.join((generated.h1[x1], generated.h2[x2]))
+        for x1, x2 in xi_pairs
+    ]
+    rows = incidence_rows(join_q, generated.base.atom_count)
     iso: dict[int, int] = {}
     for a in generated.base.closed_sets:
-        iso[a] = base.meet(
-            [join_p[x] for x in xi_pairs if is_subset(a, join_q[x])]
-        )
+        acc = base.top
+        for k in iter_atoms(holding(rows, a, len(xi_pairs))):
+            acc &= join_p[xi_pairs[k]]
+        iso[a] = acc
     if len(set(iso.values())) != len(generated.base) or len(generated.base) != len(
         base
     ):
@@ -581,14 +591,19 @@ def characterize(
         raise CharacterizationError("induced-ortho-right", e.law) from e
     steps.append("induced-orthocomplementations")
 
-    sharp = aerts_product_sharp(left, induced_left, right, induced_right)
-    if sharp.base.closed_sets != generated.base.closed_sets:
+    # The sharp family is the intersection closure of the polars P of the
+    # sharp relation, plus top; `is_closure_of` compares it with the
+    # generated family G on P and MI(G) instead of rebuilding it.  Only a
+    # failure pays for the sharp product, to report its size.
+    rel = sharp_relation(left, induced_left, right, induced_right)
+    if not generated.base.is_closure_of(rel.polars):
+        sharp = aerts_product_sharp(left, induced_left, right, induced_right)
         raise CharacterizationError(
             "route-agreement",
             (len(sharp.base), len(generated.base)),
         )
     for a in fam_q:
-        if iso[sharp.ortho(a)] != omap(iso[a]):
+        if iso[rel.polar_of(a)] != omap(iso[a]):
             raise CharacterizationError("ortho-transport", atoms_of(a))
     steps.append("sharp-rebuild")
 

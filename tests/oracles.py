@@ -147,6 +147,22 @@ def meet_irreducibles(fam: set[frozenset[int]]) -> set[frozenset[int]]:
     return out
 
 
+def intersection_irreducibles(fam: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Members that are not the intersection of their strict supersets
+    (the union of the family for none).  On a family closed under
+    intersection these are the members with exactly one upper cover."""
+    top = frozenset().union(*fam)
+    out = set()
+    for x in fam:
+        meet = top
+        for y in fam:
+            if x < y:
+                meet &= y
+        if meet != x:
+            out.add(x)
+    return out
+
+
 def coatoms(fam: set[frozenset[int]]) -> set[frozenset[int]]:
     """Maximal proper members."""
     top = frozenset().union(*fam)

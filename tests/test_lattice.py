@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 import seplat
+from seplat import _kernels
 from seplat.bitset import atoms_of, mask_of, popcount
-from seplat.errors import ForeignElementError, ValidationError
+from seplat.errors import ForeignElementError, RelationError, ValidationError
 from seplat.lattice import Lattice
+from seplat.ortho import AtomOrthogonality
 
 
 def family_to_masks(fam):
@@ -176,6 +178,20 @@ def test_leq_and_closure():
     assert lat.closure(0b0001) == 0b0001
 
 
+@pytest.mark.parametrize("raw", [1 << 7, 1 << 4 | 1, -1])
+def test_closure_rejects_sets_of_other_atoms(raw):
+    lat = seplat.build_mo(2)[0]
+    with pytest.raises(ValidationError) as exc:
+        lat.closure(raw)
+    assert exc.value.law == "members use atoms 0..atom_count-1"
+
+
+def test_negative_members_are_rejected():
+    with pytest.raises(ValidationError) as exc:
+        Lattice.from_closed_family(2, [0, 1, 2, 3, -1])
+    assert (exc.value.law, exc.value.witness) == ("members use atoms 0..atom_count-1", -1)
+
+
 # -- covers, atoms, coatoms ---------------------------------------------
 
 
@@ -310,6 +326,68 @@ def test_closure_matches_intersection_of_all_supersets(lat, raws):
         raw &= lat.top
         want = oracles.brute_join(fam, [frozenset(atoms_of(raw))])
         assert lat.closure(raw) == mask_of(want)
+
+
+@given(raw_families())
+@settings(max_examples=200, deadline=None)
+def test_indexed_meet_irreducibles_match_the_oracle(data):
+    # `validate` runs the pass on families that may not be closed; there it
+    # must still find the members that are not the intersection of their
+    # strict supersets, which on a closed family are those with one upper
+    # cover.
+    n, masks = data
+    fam = as_sets(masks)
+    lat = Lattice(n, masks)
+    got = lat.meet_irreducibles()
+    assert got == tuple(s for s in lat.closed_sets if s in set(got))  # family order
+    assert as_sets(got) == oracles.intersection_irreducibles(fam)
+    if not oracles.missing_intersections(fam):
+        assert as_sets(got) == oracles.meet_irreducibles(fam)
+    for p in range(n):
+        assert lat._atom_rows[p] == mask_of(k for k, m in enumerate(got) if m >> p & 1)
+
+
+@st.composite
+def separating_polars(draw, max_atoms=6):
+    """The polars of a random symmetric, anti-reflexive, separating
+    relation: random relations until one separates, else the relation
+    making every two distinct atoms orthogonal."""
+    n = draw(st.integers(min_value=2, max_value=max_atoms))
+    rnd = draw(st.randoms(use_true_random=False))
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(50):
+        rel = AtomOrthogonality.from_pairs(n, [pq for pq in pairs if rnd.random() < 0.6])
+        try:
+            rel.validate()
+        except RelationError:
+            continue
+        return n, rel.polars
+    return n, AtomOrthogonality.from_pairs(n, pairs).polars
+
+
+@given(separating_polars(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_is_closure_of_matches_closing_the_seeds(data, rnd):
+    # Checked on the biorthogonal family of the relation, and with the
+    # seeds or the family one member off.
+    n, polars = data
+    top = (1 << n) - 1
+    family = set(_kernels.close_under_intersection(polars, top))
+    lat = Lattice(n, family)
+    dropped_seed = list(polars)
+    dropped_seed.pop(rnd.randrange(n))
+    irreducible = rnd.choice(lat.meet_irreducibles())
+    cases = [
+        (polars, family),
+        (dropped_seed, family),
+        ([*polars, rnd.getrandbits(n)], family),
+        (polars, family - {irreducible}),
+        (polars, set(_kernels.close_under_intersection([*family, rnd.getrandbits(n)], top))),
+    ]
+    assert lat.is_closure_of(polars)
+    for seeds, fam in cases:
+        want = set(_kernels.close_under_intersection(seeds, top)) == fam
+        assert Lattice(n, fam).is_closure_of(seeds) == want
 
 
 @given(raw_families())

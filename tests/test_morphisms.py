@@ -1,6 +1,7 @@
 """Automorphisms, factorization, orthocomplementation search,
 order isomorphism, and the product characterization."""
 
+import itertools
 import math
 
 import pytest
@@ -456,6 +457,74 @@ def test_random_factors_characterize_exactly_when_both_are_mo(left, right):
         assert exc.value.witness[0] == ("left" if lname.startswith("B") else "right")
 
 
+# Outcome of `characterize(check_hypotheses=False)` on every
+# orthocomplementation of the generator-route product: "ok", or the failing
+# step with its witness, with how often each occurs.
+FACTORIZATION = "orthocomplement-factorization"
+ORTHO_OUTCOMES = {
+    ("B(2)", "MO(2)"): {"ok": 3, (FACTORIZATION, ("right", 1, 0)): 6},
+    ("MO(2)", "B(3)"): {
+        "ok": 3,
+        (FACTORIZATION, ("left", 0, 1)): 18,
+        (FACTORIZATION, ("left", 0, 2)): 6,
+    },
+    ("B(3)", "MO(2)"): {
+        "ok": 3,
+        (FACTORIZATION, ("right", 1, 0)): 18,
+        (FACTORIZATION, ("right", 2, 0)): 6,
+    },
+}
+
+
+@pytest.mark.parametrize("names", sorted(ORTHO_OUTCOMES))
+def test_characterize_outcomes_over_every_orthocomplementation(names):
+    left, right = (FACTOR_BUILDERS[name]() for name in names)
+    prod = seplat.aerts_product_general(left, right)
+    outcomes = {}
+    for om in seplat.enumerate_orthocomplementations(prod.base):
+        try:
+            seplat.characterize(prod.with_ortho(om), check_hypotheses=False)
+            key = "ok"
+        except CharacterizationError as e:
+            key = (e.step, e.witness)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == ORTHO_OUTCOMES[names]
+
+
+def _discrete_relation(left, ortho1, right, ortho2):
+    """Every two distinct pair atoms orthogonal: a separating relation
+    whose closed family is every atom set."""
+    n = left.atom_count * right.atom_count
+    return seplat.AtomOrthogonality.from_pairs(n, itertools.combinations(range(n), 2))
+
+
+def test_characterize_reports_route_disagreement(monkeypatch, mo2, mo1):
+    # With the discrete relation standing in for the sharp one, its family
+    # (all 256 atom sets of MO(2)xMO(1)) differs from the generated one,
+    # and the witness gives both sizes.
+    prod = seplat.aerts_product_sharp(*mo2, *mo1)
+    monkeypatch.setattr(seplat.morphisms, "sharp_relation", _discrete_relation)
+    monkeypatch.setattr(seplat.product, "sharp_relation", _discrete_relation)
+    with pytest.raises(CharacterizationError) as exc:
+        seplat.characterize(prod, check_hypotheses=False)
+    assert (exc.value.step, exc.value.witness) == ("route-agreement", (256, 36))
+
+
+def test_characterize_reports_a_polar_map_that_is_not_the_ortho(monkeypatch, prod22, mo2):
+    # The sharp relation of another orthocomplementation of MO(2) closes to
+    # the same family, but its polars are not the product's ortho.
+    other = next(om for om in seplat.enumerate_orthocomplementations(mo2[0]) if om != mo2[1])
+    real = seplat.product.sharp_relation
+
+    def swapped(left, ortho1, right, ortho2):
+        return real(left, other, right, ortho2)
+
+    monkeypatch.setattr(seplat.morphisms, "sharp_relation", swapped)
+    with pytest.raises(CharacterizationError) as exc:
+        seplat.characterize(prod22, check_hypotheses=False)
+    assert exc.value.step == "ortho-transport"
+
+
 def test_characterize_skips_hypotheses_on_request(prod22, aut_mo2):
     res = seplat.characterize(prod22, check_hypotheses=False)
     assert res.steps == [
@@ -467,7 +536,8 @@ def test_characterize_skips_hypotheses_on_request(prod22, aut_mo2):
 
 
 def test_characterize_past_64_pair_atoms(prod_wide, mo17, mo1):
-    # the sharp rebuild builds a 68-atom product of its own
+    # the sharp-rebuild step checks the 68-atom sharp relation's polars
+    # against the generated family
     res = seplat.characterize(prod_wide, check_hypotheses=False)
     assert res.steps == [
         "delta-bijection",
