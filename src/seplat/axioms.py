@@ -298,12 +298,14 @@ def _check_embedding_morphism(
         want_meet = h[factor.meet(omega)]
         got_meet = base.meet([h[x] for x in omega])
         report.record(
-            want_meet == got_meet, (side, "meet", [atoms_of(x) for x in omega])
+            want_meet == got_meet,
+            lambda: (side, "meet", [atoms_of(x) for x in omega]),
         )
         want_join = h[factor.join(omega)]
         got_join = base.join([h[x] for x in omega])
         report.record(
-            want_join == got_join, (side, "join", [atoms_of(x) for x in omega])
+            want_join == got_join,
+            lambda: (side, "join", [atoms_of(x) for x in omega]),
         )
 
 
@@ -367,7 +369,7 @@ def check_sproduct(
     for i in range(left.atom_count):
         for j in range(right.atom_count):
             m = otimes(product, 1 << i, 1 << j)
-            p1.record(m in atom_set, (i, j, atoms_of(m)))
+            p1.record(m in atom_set, lambda: (i, j, atoms_of(m)))
     rep.reports["P1"] = p1
 
     p2 = CheckReport("P2")
@@ -383,7 +385,7 @@ def check_sproduct(
                 for a2 in right.closed_sets:
                     want = below1 or is_subset(1 << j, a2)
                     got = is_subset(atom, join_cache[(a1, a2)])
-                    p2.record(got == want, (i, j, atoms_of(a1), atoms_of(a2)))
+                    p2.record(got == want, lambda: (i, j, atoms_of(a1), atoms_of(a2)))
     rep.reports["P2"] = p2
 
     p3 = CheckReport("P3")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from .errors import ValidationError
+
 
 def mask_of(atoms: Iterable[int]) -> int:
     m = 0
@@ -18,8 +20,16 @@ def mask_of(atoms: Iterable[int]) -> int:
     return m
 
 
+def _require_nonnegative(mask: int) -> None:
+    # a negative int has infinitely many set bits: `mask & -mask` never
+    # clears the sign, so the loops below would never end
+    if mask < 0:
+        raise ValidationError("atom masks are nonnegative", mask)
+
+
 def atoms_of(mask: int) -> tuple[int, ...]:
     """Atom indices of a mask, ascending."""
+    _require_nonnegative(mask)
     out = []
     while mask:
         low = mask & -mask
@@ -29,6 +39,7 @@ def atoms_of(mask: int) -> tuple[int, ...]:
 
 
 def iter_atoms(mask: int) -> Iterator[int]:
+    _require_nonnegative(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

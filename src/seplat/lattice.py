@@ -179,6 +179,7 @@ class Lattice:
         return mask
 
     def label_of(self, mask: int) -> str:
+        _require_atoms(mask, self.top)
         if self.atom_labels is None:
             names = [str(a) for a in atoms_of(mask)]
         else:

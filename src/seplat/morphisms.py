@@ -18,6 +18,7 @@ from typing import Optional
 from . import _kernels
 from .axioms import (
     Covering,
+    _pair_perm,
     check_sproduct,
     strongly_transitive,
     weakly_connected,
@@ -28,6 +29,7 @@ from .errors import (
     FactorizationError,
     OrthoViolation,
     SizeCapError,
+    ValidationError,
 )
 from .lattice import Lattice
 from .ortho import OrthoMap, validate_ortho
@@ -246,7 +248,76 @@ def factor_automorphism(
     atom maps must carry each factor family onto the appropriate factor
     family; and the recomposition must reproduce the automorphism on every
     pair atom.  Raises FactorizationError at the first failing step.
+
+    `auto` is an Automorphism, whose `perm` must permute exactly the
+    n1·n2 pair atoms of the base (ValidationError otherwise), or any mask
+    map.  A `perm` is first read as a pair map: row i goes to the row of
+    perm[i·n2] // n2 and column j to the column of perm[j] % n2 (with //
+    and % exchanged for a swap, which needs n1 = n2).  It is accepted
+    when it equals the pair map of these readings and they pass the
+    factor-map check, which is then exactly what the steps would find:
+    the rows and columns go to rows and columns on one side, and the
+    recomposition is the equality.  Conversely, when the steps succeed the
+    recomposition makes `perm` the pair map of the maps they extract, and
+    those are the readings above.  Anything else, and every mask map, runs
+    the steps, so every failure and its witness comes from them.
     """
+    n1, n2 = product.left.atom_count, product.right.atom_count
+    perm = getattr(auto, "perm", None)
+    if perm is not None:
+        if not len(perm) == n1 * n2 == product.base.atom_count:
+            raise ValidationError(
+                "automorphism permutes the product's pair atoms", len(perm)
+            )
+        if perm:
+            left_map = tuple(perm[i * n2] // n2 for i in range(n1))
+            right_map = tuple(p % n2 for p in perm[:n2])
+            if perm == _pair_perm(left_map, right_map) and not _failing_factor_map(
+                product, "straight", left_map, right_map
+            ):
+                return FactorizationResult("straight", left_map, right_map)
+            if n1 == n2:
+                left_map = tuple(perm[i * n2] % n2 for i in range(n1))
+                right_map = tuple(p // n2 for p in perm[:n2])
+                swapped = tuple(b * n2 + a for a in left_map for b in right_map)
+                if perm == swapped and not _failing_factor_map(
+                    product, "swapped", left_map, right_map
+                ):
+                    return FactorizationResult("swapped", left_map, right_map)
+    return _factor_by_steps(product, auto)
+
+
+def _failing_factor_map(
+    product: ProductLattice, side: str, left_map: tuple, right_map: tuple
+) -> Optional[tuple[str, tuple[int, ...]]]:
+    """(step, map) for the first of the two factor maps of `side` that is
+    not a bijection onto the target's atoms sending every meet-irreducible
+    of its source into the target, or None when both are.  Such a map
+    carries the source family onto the target family (see
+    `Lattice.meet_irreducibles`)."""
+    left, right = product.left, product.right
+    if side == "straight":
+        checks = (
+            (left_map, left, left, "left map is a factor automorphism"),
+            (right_map, right, right, "right map is a factor automorphism"),
+        )
+    else:
+        checks = (
+            (left_map, left, right, "left map is an isomorphism onto the right factor"),
+            (right_map, right, left, "right map is an isomorphism onto the left factor"),
+        )
+    for amap, src, dst, step in checks:
+        if sorted(amap) != list(range(dst.atom_count)):
+            return step, amap
+        act = _kernels._mask_action(amap)
+        if any(act(s) not in dst for s in src.meet_irreducibles()):
+            return step, amap
+    return None
+
+
+def _factor_by_steps(product: ProductLattice, auto) -> FactorizationResult:
+    """`factor_automorphism` step by step through the mask action of
+    `auto`, raising FactorizationError at the first failing step."""
     left, right = product.left, product.right
     n1, n2 = left.atom_count, right.atom_count
     rows = {product.row(i): i for i in range(n1)}
@@ -276,25 +347,9 @@ def factor_automorphism(
         col_targets.append(table[img])
     left_map = tuple(t for _, t in row_targets)
     right_map = tuple(col_targets)
-    if side == "straight":
-        checks = (
-            (left_map, left, left, "left map is a factor automorphism"),
-            (right_map, right, right, "right map is a factor automorphism"),
-        )
-    else:
-        checks = (
-            (left_map, left, right, "left map is an isomorphism onto the right factor"),
-            (right_map, right, left, "right map is an isomorphism onto the left factor"),
-        )
-    for amap, src, dst, step in checks:
-        # a bijection onto the target atoms first: Automorphism refuses anything else
-        if sorted(amap) != list(range(dst.atom_count)):
-            raise FactorizationError(step, amap)
-        u = Automorphism(amap)
-        # every member lands in dst iff the meet-irreducibles do: see
-        # Lattice.meet_irreducibles
-        if any(u(s) not in dst for s in src.meet_irreducibles()):
-            raise FactorizationError(step, amap)
+    failed = _failing_factor_map(product, side, left_map, right_map)
+    if failed:
+        raise FactorizationError(*failed)
     for i in range(n1):
         for j in range(n2):
             got = auto(product.singleton(i, j))

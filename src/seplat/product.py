@@ -132,12 +132,22 @@ def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
 
     Works for arbitrary factors; every singleton pair atom is closed
     (it is the intersection of its row and its column).
+
+    Only the crosses of m1 in MI(L1) u {top} and m2 in MI(L2) u {top} are
+    seeded, which closes to the same family.  Every element is top or
+    the intersection of the meet-irreducibles above it (see
+    `Lattice.meet_irreducibles`), and crosses distribute over
+    intersections: a pair (p1, p2) lies in every cross(m_k, n_l) iff for
+    all k and l, p1 in m_k or p2 in n_l, iff p1 lies in every m_k or p2
+    in every n_l.  So cross(m_1 ∩ … ∩ m_r, n_1 ∩ … ∩ n_s) is the
+    intersection of the cross(m_k, n_l), and every other cross is
+    reached by the closure.
     """
     n = left.atom_count * right.atom_count
     seeds = {
-        _cross(left, right, a1, a2)
-        for a1 in left.closed_sets
-        for a2 in right.closed_sets
+        _cross(left, right, m1, m2)
+        for m1 in left.meet_irreducibles() + (left.top,)
+        for m2 in right.meet_irreducibles() + (right.top,)
     }
     family = _kernels.close_under_intersection(sorted(seeds), full_mask(n))
     base = Lattice.from_closed_family(
@@ -236,9 +246,11 @@ class CheckReport:
         return self.passed
 
     def record(self, ok: bool, witness):
+        """Count one check and keep its witness when it fails.  A callable
+        `witness` is called only then, so a passing check builds none."""
         self.checked += 1
         if not ok:
-            self.failures.append(witness)
+            self.failures.append(witness() if callable(witness) else witness)
 
 
 def lateral_join_check(product: ProductLattice) -> CheckReport:
@@ -263,7 +275,7 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
                     (product.singleton(i, j), product.singleton(i, k))
                 )
                 want = product.rect(1 << i, right.join(((1 << j), (1 << k))))
-                report.record(got == want, ("right", i, j, k, atoms_of(got)))
+                report.record(got == want, lambda: ("right", i, j, k, atoms_of(got)))
     for j in range(n2):
         for i in range(n1):
             for k in range(i + 1, n1):
@@ -271,7 +283,7 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
                     (product.singleton(i, j), product.singleton(k, j))
                 )
                 want = product.rect(left.join(((1 << i), (1 << k))), 1 << j)
-                report.record(got == want, ("left", j, i, k, atoms_of(got)))
+                report.record(got == want, lambda: ("left", j, i, k, atoms_of(got)))
 
     left_pool, right_pool = _subset_pools(left.closed_sets, right.closed_sets)
 
@@ -279,7 +291,7 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
         for omega in pool:
             got = base.join([h[x] for x in omega])
             want = h[lat.join(omega)]
-            report.record(got == want, (side, [atoms_of(x) for x in omega]))
+            report.record(got == want, lambda: (side, [atoms_of(x) for x in omega]))
 
     check_embedding(left, product.h1, "h1", left_pool)
     check_embedding(right, product.h2, "h2", right_pool)
@@ -310,7 +322,8 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
                     )
                     want = product.singleton(i, j) | product.singleton(k, l)
                     report.record(
-                        got == want, ("two-atoms", (i, j), (k, l), atoms_of(got))
+                        got == want,
+                        lambda: ("two-atoms", (i, j), (k, l), atoms_of(got)),
                     )
     for i in range(n1):
         for a1 in left.closed_sets:
@@ -326,6 +339,6 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
                     rhs = product.rect(1 << i, a2) | product.rect(a1, 1 << j)
                     report.record(
                         lhs == rhs,
-                        ("atom-sets", i, atoms_of(a1), j, atoms_of(a2)),
+                        lambda: ("atom-sets", i, atoms_of(a1), j, atoms_of(a2)),
                     )
     return report

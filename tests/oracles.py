@@ -116,6 +116,25 @@ def intersection_closure(fam: set[frozenset[int]]) -> set[frozenset[int]]:
         out |= new
 
 
+def all_cross_closure(fam1, n1: int, fam2, n2: int) -> set[int]:
+    """The generator-route product family over the factor families (atom
+    masks, pair (p1, p2) being atom p1 * n2 + p2): the crosses
+    A(a1) x A2 u A1 x A(a2) of every element pair, and the universe, closed
+    by intersecting every pair of members until nothing new appears."""
+
+    def rect(left, right):
+        return sum(1 << (p1 * n2 + p2) for p1 in _atoms(left) for p2 in _atoms(right))
+
+    top1, top2 = (1 << n1) - 1, (1 << n2) - 1
+    out = {rect(a1, top2) | rect(top1, a2) for a1 in fam1 for a2 in fam2}
+    out.add((1 << n1 * n2) - 1)
+    while True:
+        new = {x & y for x in out for y in out} - out
+        if not new:
+            return out
+        out |= new
+
+
 def missing_intersections(fam: set[frozenset[int]]) -> list[tuple[frozenset[int], frozenset[int]]]:
     """Every pair of members whose intersection is not a member."""
     return [(x, y) for x in fam for y in fam if x & y not in fam]

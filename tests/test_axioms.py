@@ -8,7 +8,12 @@ import pytest
 
 import seplat
 from seplat import Covering, Lattice
-from seplat.axioms import SWEEP_ATOM_CAP, _check_embedding_morphism, induced_pair_group
+from seplat.axioms import (
+    SWEEP_ATOM_CAP,
+    ConnectivityResult,
+    _check_embedding_morphism,
+    induced_pair_group,
+)
 from seplat.bitset import atoms_of, popcount
 from seplat.errors import CoveringError, SizeCapError, ValidationError
 from seplat.perm import Automorphism, AutoGroup
@@ -172,6 +177,75 @@ def test_sproduct_axiom_failure_is_reported(prod22, aut_mo2):
     assert not rep.passed
     assert not rep.reports["P4"].passed
     assert any("FAIL" in line for line in rep.lines())
+
+
+def _first_witness_by_kind(failures, kind):
+    out = {}
+    for w in failures:
+        out.setdefault(kind(w), w)
+    return len(failures), list(out.values())
+
+
+def test_witnesses_of_a_corrupted_product(prod22):
+    # Witnesses are built only for failing checks; these are the failure
+    # counts and the first witness of each kind that the checks reported
+    # when they built every witness up front.
+    lat = prod22.left
+    rows = {prod22.row(i) for i in range(4)}
+    cols = {prod22.col(j) for j in range(4)}
+    singles = {1 << k for k in range(16)}
+    family = {0, prod22.base.top, 0b11, 0b10001} | rows | cols | singles
+    h1, h2 = dict(prod22.h1), dict(prod22.h2)
+    h1[0], h1[1] = h1[1], h1[0]
+    h2[0], h2[1] = h2[1], h2[0]
+    bad = dataclasses.replace(
+        prod22, base=Lattice.from_closed_family(16, family), h1=h1, h2=h2
+    )
+    ident = AutoGroup.identity_only(lat)
+    reports = seplat.check_sproduct(bad, ident, ident).reports
+    assert _first_witness_by_kind(reports["P0"].failures, lambda w: w[:2]) == (
+        116,
+        [
+            ("h1", "join", []),
+            ("h1", "meet", [(), (0,)]),
+            ("h2", "join", []),
+            ("h2", "meet", [(), (0,)]),
+        ],
+    )
+    assert _first_witness_by_kind(reports["P1"].failures, len) == (7, [(0, 0, ())])
+    assert _first_witness_by_kind(reports["P2"].failures, len) == (193, [(0, 0, (), ())])
+    lateral = seplat.lateral_join_check(bad).failures
+    assert _first_witness_by_kind(lateral, lambda w: w[0]) == (
+        18,
+        [("right", 0, 0, 1, (0, 1)), ("left", 0, 0, 1, (0, 4)), ("h1", []), ("h2", [])],
+    )
+    lemma = seplat.sproduct_join_lemma_check(bad).failures
+    assert _first_witness_by_kind(lemma, lambda w: w[0]) == (
+        160,
+        [
+            ("two-atoms", (0, 0), (1, 1), tuple(range(16))),
+            ("atom-sets", 0, (0, 1, 2, 3), 0, (0, 1, 2, 3)),
+        ],
+    )
+
+
+def test_passing_checks_build_no_witnesses(prod23, aut_mo2, aut_mo3, monkeypatch):
+    # P3 lists block atoms to do its work, not for a witness
+    monkeypatch.setattr(
+        seplat.axioms, "laterally_connected", lambda *args: ConnectivityResult(True)
+    )
+    built = []
+
+    def counted(mask):
+        built.append(mask)
+        return atoms_of(mask)
+
+    for module in (seplat.axioms, seplat.product):
+        monkeypatch.setattr(module, "atoms_of", counted)
+    assert seplat.check_sproduct(prod23, aut_mo2, aut_mo3).passed
+    assert seplat.lateral_join_check(prod23).passed
+    assert seplat.sproduct_join_lemma_check(prod23).passed
+    assert built == []
 
 
 # P4 evaluates only the pairs (g, id) and (id, g) for the strong generators

@@ -1,6 +1,9 @@
 """Closure-system lattice core: construction, validation, meets/joins."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -98,6 +101,37 @@ def test_atom_labels_default_and_custom():
     assert lat.label_of(0b11) == "{x,y}"
     plain = Lattice.from_closed_family(2, [0, 1, 2, 3])
     assert plain.label_of(0b10) == "{1}"
+
+
+def test_negative_masks_are_rejected():
+    # A negative int has infinitely many set bits, so a loop that clears
+    # the lowest one never ends: run the calls in a child process, where a
+    # regression shows as a timeout rather than a hung suite.
+    calls = (
+        "seplat.atoms_of(-2)",
+        "list(seplat.bitset.iter_atoms(-1))",
+        "seplat.build_mo(2)[0].label_of(-1)",
+    )
+    script = "\n".join(
+        [
+            "import seplat",
+            "for call in %r:" % (calls,),
+            "    try:",
+            "        eval(call)",
+            "    except seplat.ValidationError as e:",
+            "        print(e.law)",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(seplat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.splitlines() == [
+        "atom masks are nonnegative",
+        "atom masks are nonnegative",
+        "members use atoms 0..atom_count-1",
+    ], done.stderr
 
 
 def test_element_membership_and_require():

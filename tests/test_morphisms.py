@@ -3,13 +3,15 @@ order isomorphism, and the product characterization."""
 
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seplat
-from seplat import Lattice, _kernels
+from seplat import Lattice, _kernels, morphisms
 from seplat.bitset import atoms_of, full_mask, mask_of
 from seplat.errors import (
     CharacterizationError,
@@ -255,6 +257,79 @@ def test_non_bijective_extracted_map_fails_factorization(prod22):
         seplat.factor_automorphism(prod22, collapse)
     assert exc.value.step == "left map is a factor automorphism"
     assert exc.value.witness == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("length", [4, 15, 17])
+def test_permutations_of_other_lengths_are_rejected(prod22, length):
+    with pytest.raises(ValidationError) as exc:
+        seplat.factor_automorphism(prod22, Automorphism.identity(length))
+    assert exc.value.law == "automorphism permutes the product's pair atoms"
+
+
+def _factor_outcome(factor, prod, u):
+    try:
+        res = factor(prod, u)
+    except FactorizationError as e:
+        return "fail", e.step, e.witness
+    return "ok", res.side, res.left_map, res.right_map
+
+
+def _pair_maps(n: int):
+    """Every straight and swapped pair permutation of a square product
+    whose factors have n atoms."""
+    for u1 in itertools.permutations(range(n)):
+        for u2 in itertools.permutations(range(n)):
+            yield Automorphism(a * n + b for a in u1 for b in u2)
+            yield Automorphism(b * n + a for a in u1 for b in u2)
+
+
+def test_pair_reading_agrees_with_the_steps(prod22, prod23, b3, mo2, monkeypatch):
+    # factor_automorphism accepts a pair permutation without running the
+    # steps; it must give what the steps give on every map, and run them
+    # exactly on the maps that fail.  Every member of Aut(MO(2)xMO(2)) and
+    # Aut(MO(2)xMO(3)) factors; many members of Aut(B3xMO(2)) do not, and
+    # the pair maps over a factor with a non-automorphism atom permutation
+    # fail at the factor-map steps.
+    steps = morphisms._factor_by_steps
+    ran = []
+    monkeypatch.setattr(
+        morphisms, "_factor_by_steps", lambda prod, u: ran.append(u) or steps(prod, u)
+    )
+    chain = Lattice.from_closed_family(3, [0b011], mode="complete")
+    prod_b3 = seplat.aerts_product_general(b3[0], mo2[0])
+    rng = random.Random(2)
+    instances, outcomes = [], Counter()
+    for name, prod, sample in (("2x2", prod22, 1), ("2x3", prod23, 1), ("b3x2", prod_b3, 53)):
+        maps = list(itertools.islice(seplat.enumerate_automorphisms(prod.base), 0, None, sample))
+        n = prod.base.atom_count
+        for u in maps[:200]:
+            perm = list(u.perm)
+            a, b = rng.sample(range(n), 2)
+            perm[a], perm[b] = perm[b], perm[a]
+            maps.append(Automorphism(perm))
+        maps += [Automorphism(rng.sample(range(n), n)) for _ in range(200)]
+        instances.append((name, prod, maps))
+    instances.append(("chain", seplat.aerts_product_general(chain, chain), _pair_maps(3)))
+    for name, prod, maps in instances:
+        for u in maps:
+            ran.clear()
+            got = _factor_outcome(seplat.factor_automorphism, prod, u)
+            assert got == _factor_outcome(steps, prod, u)
+            assert len(ran) == (got[0] == "fail")
+            outcomes[name, got[:2]] += 1
+    assert outcomes["2x2", ("ok", "straight")] == outcomes["2x2", ("ok", "swapped")] == 576
+    assert outcomes["2x3", ("ok", "straight")] == 17280
+    assert outcomes["b3x2", ("ok", "straight")] > 0
+    assert outcomes["b3x2", ("fail", "row image is a row or column")] > 0
+    failed = {got[1] for _, got in outcomes if got[0] == "fail"}
+    assert failed == {
+        "row image is a row or column",
+        "column images match the side choice",
+        "left map is a factor automorphism",
+        "right map is a factor automorphism",
+        "left map is an isomorphism onto the right factor",
+        "right map is an isomorphism onto the left factor",
+    }
 
 
 # -- orthocomplementation search ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -36,6 +37,28 @@ def test_routes_build_the_same_family(left_name, right_name, request):
     assert general.h1 == sharp.h1 and general.h2 == sharp.h2
     assert general.route == "generators" and sharp.route == "sharp"
     assert general.ortho is None and sharp.ortho is not None
+
+
+def test_meet_irreducible_seeds_close_to_the_all_element_crosses(mo1, mo2, mo3, b3):
+    # The generator route seeds only the crosses of meet-irreducibles and
+    # top; its family must be the closure of the crosses of all elements.
+    gf2_3 = seplat.build_subspace_lattice(2, 3)
+    pairs = [(mo1, mo1), (mo1, mo2), (mo2, mo2), (mo2, mo3), (mo3, mo3)]
+    pairs = [(a[0], b[0]) for a, b in pairs] + [(gf2_3, mo2[0]), (b3[0], mo2[0])]
+    rng = random.Random(11)
+    for _ in range(30):
+        factors = []
+        for _ in range(2):
+            n = rng.randint(1, 4)
+            seeds = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+            factors.append(Lattice.from_closed_family(n, seeds, mode="complete"))
+        pairs.append(tuple(factors))
+    for left, right in pairs:
+        got = seplat.aerts_product_general(left, right).base.closed_sets
+        want = oracles.all_cross_closure(
+            left.closed_sets, left.atom_count, right.closed_sets, right.atom_count
+        )
+        assert set(got) == want
 
 
 def test_mo_product_sizes_match_closed_form(prod22, prod23, prod_wide):
