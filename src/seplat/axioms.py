@@ -35,6 +35,10 @@ class Covering:
 
     @classmethod
     def from_lists(cls, blocks: Iterable[Iterable[int]]) -> "Covering":
+        blocks = [list(b) for b in blocks]
+        for b in blocks:
+            if any(type(a) is not int or a < 0 for a in b):
+                raise CoveringError("blocks use atoms of the lattice", b)
         return cls(tuple(mask_of(b) for b in blocks))
 
     def validate_shape(self, lattice: Lattice) -> None:
@@ -486,7 +490,8 @@ def _blocks(group: AutoGroup) -> list[int]:
     """
     n = group.lattice.atom_count
     perms = [g.perm for g in group.generators]
-    if n and len(group.transversal(0)) == n:
+    transversal = group.transversal(0) if n else {}
+    if n and len(transversal) == n:
         full = full_mask(n)
         holding_0 = [1]
         for b in holding_0:
@@ -494,7 +499,7 @@ def _blocks(group: AutoGroup) -> list[int]:
                 c = _block_of(perms, n, b | 1 << q)
                 if c not in holding_0:
                     holding_0.append(c)
-        return sorted({t(b) for t in group.transversal(0).values() for b in holding_0})
+        return sorted({t(b) for t in transversal.values() for b in holding_0})
     if n > SWEEP_ATOM_CAP:
         raise SizeCapError(
             f"intransitive group's subset sweep over {n} atoms exceeds cap {SWEEP_ATOM_CAP}"
@@ -525,12 +530,8 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
       t_p a member sending 0 to p, so the atoms they move are the t_p
       images of the atoms that the generators fixing 0 move.
     - Subset condition: for a transitive group, the subsets A are its
-      blocks, so it holds exactly when the group is primitive, that is
-      when the smallest block holding {0, q} is every atom for each q.
-      When some block is smaller, the witness is the first block in mask
-      order.  That block is minimal, since a block inside it has a
-      smaller mask, and a minimal block is the t_p image of the smallest
-      block holding {0, q} for some q, so it is the least such image.
+      blocks (`_blocks`, in mask order), and the witness is the first
+      block that is neither a singleton nor every atom.
     """
     _require_group_of(group, lattice, "group")
     n = lattice.atom_count
@@ -551,11 +552,9 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
             return TransitivityResult(
                 False, "some member fixes p and moves q", (p, atoms_of(unmoved)[0])
             )
-    perms = [g.perm for g in group.generators]
-    smallest = {_block_of(perms, n, 1 | 1 << q) for q in range(1, n)} - {full}
-    if smallest:
-        block = min(t(b) for t in transversal.values() for b in smallest)
-        return TransitivityResult(False, "only trivial invariant subsets", atoms_of(block))
+    for block in _blocks(group):
+        if block != full and popcount(block) != 1:
+            return TransitivityResult(False, "only trivial invariant subsets", atoms_of(block))
     return TransitivityResult(True)
 
 

@@ -18,7 +18,6 @@ from typing import Optional
 from . import _kernels
 from .axioms import (
     Covering,
-    _pair_perm,
     check_sproduct,
     strongly_transitive,
     weakly_connected,
@@ -243,58 +242,61 @@ def factor_automorphism(
 ) -> FactorizationResult:
     """Decompose an automorphism of the product base into factor maps.
 
-    Steps: images of the embedded rows and columns must again be rows or
-    columns; the side choice must be constant across slices; the extracted
-    atom maps must carry each factor family onto the appropriate factor
-    family; and the recomposition must reproduce the automorphism on every
-    pair atom.  Raises FactorizationError at the first failing step.
+    `auto` must be an Automorphism (ValidationError otherwise) whose
+    `perm` permutes exactly the n1·n2 pair atoms of the base, pair atom p
+    being (p // n2, p % n2) (ValidationError otherwise).  Steps, raising
+    FactorizationError at the first that fails:
 
-    `auto` is an Automorphism, whose `perm` must permute exactly the
-    n1·n2 pair atoms of the base (ValidationError otherwise), or any mask
-    map.  A `perm` is first read as a pair map: row i goes to the row of
-    perm[i·n2] // n2 and column j to the column of perm[j] % n2 (with //
-    and % exchanged for a swap, which needs n1 = n2).  It is accepted
-    when it equals the pair map of these readings and they pass the
-    factor-map check, which is then exactly what the steps would find:
-    the rows and columns go to rows and columns on one side, and the
-    recomposition is the equality.  Conversely, when the steps succeed the
-    recomposition makes `perm` the pair map of the maps they extract, and
-    those are the readings above.  Anything else, and every mask map, runs
-    the steps, so every failure and its witness comes from them.
+    - each row's image is a row, or a column when n1 = n2, witness
+      (i, sorted image); row 0 chooses the side, "straight" for a row and
+      "swapped" for a column;
+    - each column's image is a column on the straight side and a row on
+      the swapped side, witness (j, sorted image);
+    - the extracted maps, row i to the index of its image line and column
+      j likewise, send every meet-irreducible of their source factor into
+      their target factor (four named steps, one per map and side, the
+      failing map as witness).
+
+    Nothing else can fail for a permutation.  Distinct rows have disjoint
+    images, and every row meets every column, so the rows go all to rows
+    or all to columns: the side choice is the same on every row, and each
+    extracted map is injective, hence a bijection of atoms.  Pair (i, j)
+    is the only atom of row i ∩ column j, so it goes to the only atom of
+    the intersection of their images: `perm` is the pair map of the
+    extracted maps.  A bijection that sends the meet-irreducibles into the
+    target sends every member there (see `Lattice.meet_irreducibles`).
+    When exactly one factor has no atoms, its empty rows or columns are
+    no lines, so the row or column step fails.
     """
     n1, n2 = product.left.atom_count, product.right.atom_count
-    perm = getattr(auto, "perm", None)
-    if perm is not None:
-        if not len(perm) == n1 * n2 == product.base.atom_count:
-            raise ValidationError(
-                "automorphism permutes the product's pair atoms", len(perm)
-            )
-        if perm:
-            left_map = tuple(perm[i * n2] // n2 for i in range(n1))
-            right_map = tuple(p % n2 for p in perm[:n2])
-            if perm == _pair_perm(left_map, right_map) and not _failing_factor_map(
-                product, "straight", left_map, right_map
-            ):
-                return FactorizationResult("straight", left_map, right_map)
-            if n1 == n2:
-                left_map = tuple(perm[i * n2] % n2 for i in range(n1))
-                right_map = tuple(p // n2 for p in perm[:n2])
-                swapped = tuple(b * n2 + a for a in left_map for b in right_map)
-                if perm == swapped and not _failing_factor_map(
-                    product, "swapped", left_map, right_map
-                ):
-                    return FactorizationResult("swapped", left_map, right_map)
-    return _factor_by_steps(product, auto)
-
-
-def _failing_factor_map(
-    product: ProductLattice, side: str, left_map: tuple, right_map: tuple
-) -> Optional[tuple[str, tuple[int, ...]]]:
-    """(step, map) for the first of the two factor maps of `side` that is
-    not a bijection onto the target's atoms sending every meet-irreducible
-    of its source into the target, or None when both are.  Such a map
-    carries the source family onto the target family (see
-    `Lattice.meet_irreducibles`)."""
+    if not isinstance(auto, Automorphism):
+        raise ValidationError("automorphism is a permutation of the atoms", type(auto).__name__)
+    perm = auto.perm
+    if not len(perm) == n1 * n2 == product.base.atom_count:
+        raise ValidationError("automorphism permutes the product's pair atoms", len(perm))
+    # The line index that the atoms of a row image must share: their row
+    # on the straight side, their column on the swapped side; the atoms of
+    # a column image share the other one.
+    row_line = [p // n2 for p in perm]
+    col_line = [p % n2 for p in perm]
+    side = "straight"
+    if n1 == n2 and len(set(row_line[:n2])) > 1:
+        side, row_line, col_line = "swapped", col_line, row_line
+    left_map = []
+    for i in range(n1):
+        lines = set(row_line[i * n2 : (i + 1) * n2])
+        if len(lines) != 1:
+            image = tuple(sorted(perm[i * n2 : (i + 1) * n2]))
+            raise FactorizationError("row image is a row or column", (i, image))
+        left_map.append(lines.pop())
+    right_map = []
+    for j in range(n2):
+        lines = set(col_line[j::n2])
+        if len(lines) != 1:
+            image = tuple(sorted(perm[j::n2]))
+            raise FactorizationError("column images match the side choice", (j, image))
+        right_map.append(lines.pop())
+    left_map, right_map = tuple(left_map), tuple(right_map)
     left, right = product.left, product.right
     if side == "straight":
         checks = (
@@ -307,62 +309,16 @@ def _failing_factor_map(
             (right_map, right, left, "right map is an isomorphism onto the left factor"),
         )
     for amap, src, dst, step in checks:
-        if sorted(amap) != list(range(dst.atom_count)):
-            return step, amap
-        act = _kernels._mask_action(amap)
-        if any(act(s) not in dst for s in src.meet_irreducibles()):
-            return step, amap
-    return None
-
-
-def _factor_by_steps(product: ProductLattice, auto) -> FactorizationResult:
-    """`factor_automorphism` step by step through the mask action of
-    `auto`, raising FactorizationError at the first failing step."""
-    left, right = product.left, product.right
-    n1, n2 = left.atom_count, right.atom_count
-    rows = {product.row(i): i for i in range(n1)}
-    cols = {product.col(j): j for j in range(n2)}
-    row_targets = []
-    for i in range(n1):
-        img = auto(product.row(i))
-        if img in rows:
-            row_targets.append(("row", rows[img]))
-        elif img in cols:
-            row_targets.append(("col", cols[img]))
-        else:
-            raise FactorizationError("row image is a row or column", (i, atoms_of(img)))
-    kinds = {kind for kind, _ in row_targets}
-    if len(kinds) != 1:
-        raise FactorizationError("side choice constant across rows", row_targets)
-    side = "straight" if kinds == {"row"} else "swapped"
-    col_targets = []
-    want = "col" if side == "straight" else "row"
-    for j in range(n2):
-        img = auto(product.col(j))
-        table = cols if want == "col" else rows
-        if img not in table:
-            raise FactorizationError(
-                "column images match the side choice", (j, atoms_of(img))
-            )
-        col_targets.append(table[img])
-    left_map = tuple(t for _, t in row_targets)
-    right_map = tuple(col_targets)
-    failed = _failing_factor_map(product, side, left_map, right_map)
-    if failed:
-        raise FactorizationError(*failed)
-    for i in range(n1):
-        for j in range(n2):
-            got = auto(product.singleton(i, j))
-            if side == "straight":
-                want_atom = product.singleton(left_map[i], right_map[j])
-            else:
-                want_atom = product.singleton(right_map[j], left_map[i])
-            if got != want_atom:
-                raise FactorizationError(
-                    "recomposition agrees on every pair atom",
-                    ((i, j), atoms_of(got)),
-                )
+        if not _maps_meet_irreducibles_into(amap, src, dst):
+            raise FactorizationError(step, amap)
     return FactorizationResult(side, left_map, right_map)
+
+
+def _maps_meet_irreducibles_into(amap: tuple[int, ...], src: Lattice, dst: Lattice) -> bool:
+    """True iff the atom map sends every meet-irreducible of `src` to a
+    member of `dst`."""
+    act = _kernels._mask_action(amap)
+    return all(act(s) in dst for s in src.meet_irreducibles())
 
 
 def enumerate_orthocomplementations(
@@ -442,12 +398,10 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
     maps = _AtomMaps(a, b)
     if sorted(maps.profiles_a) != sorted(maps.profiles_b):
         return None
-    mi = a.meet_irreducibles()
     out: list[tuple[int, ...]] = []
 
     def leaf(perm: tuple[int, ...]) -> bool:
-        act = _kernels._mask_action(perm)
-        if any(act(s) not in b for s in mi):
+        if not _maps_meet_irreducibles_into(perm, a, b):
             return False
         out.append(perm)
         return True

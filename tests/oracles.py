@@ -513,3 +513,94 @@ def generated_group(n: int, gens) -> list[tuple[int, ...]]:
                     step.append(q)
         frontier = step
     return sorted(found)
+
+
+# -- factorization of a product automorphism, step by step ---------------
+
+
+class FactorizationFailure(Exception):
+    """The first failing step of `factor_by_steps` and its witness."""
+
+    def __init__(self, step: str, witness):
+        super().__init__(step, witness)
+        self.step = step
+        self.witness = witness
+
+
+def _failing_factor_map(product, side: str, left_map: tuple, right_map: tuple):
+    """(step, map) for the first of the two factor maps of `side` that is
+    not a bijection onto the target's atoms sending every closed set of
+    its source into the target, or None when both are."""
+    left, right = product.left, product.right
+    if side == "straight":
+        checks = (
+            (left_map, left, left, "left map is a factor automorphism"),
+            (right_map, right, right, "right map is a factor automorphism"),
+        )
+    else:
+        checks = (
+            (left_map, left, right, "left map is an isomorphism onto the right factor"),
+            (right_map, right, left, "right map is an isomorphism onto the left factor"),
+        )
+    for amap, src, dst, step in checks:
+        if sorted(amap) != list(range(dst.atom_count)):
+            return step, amap
+        family = set(dst.closed_sets)
+        if any(_image(amap, s) not in family for s in src.closed_sets):
+            return step, amap
+    return None
+
+
+def factor_by_steps(product, auto):
+    """Decompose an automorphism of a product base into factor maps,
+    step by step through the mask action of `auto.perm`, raising
+    FactorizationFailure at the first failing step: every row image is a
+    row or a column, the side choice is constant across rows, every column
+    image matches the side choice, the extracted maps are factor maps, and
+    their recomposition agrees on every pair atom.  Returns
+    (side, left_map, right_map)."""
+    left, right = product.left, product.right
+    n1, n2 = left.atom_count, right.atom_count
+    rows = {product.row(i): i for i in range(n1)}
+    cols = {product.col(j): j for j in range(n2)}
+    row_targets = []
+    for i in range(n1):
+        img = _image(auto.perm, product.row(i))
+        if img in rows:
+            row_targets.append(("row", rows[img]))
+        elif img in cols:
+            row_targets.append(("col", cols[img]))
+        else:
+            raise FactorizationFailure("row image is a row or column", (i, _atoms(img)))
+    kinds = {kind for kind, _ in row_targets}
+    if len(kinds) != 1:
+        raise FactorizationFailure("side choice constant across rows", row_targets)
+    side = "straight" if kinds == {"row"} else "swapped"
+    col_targets = []
+    want = "col" if side == "straight" else "row"
+    for j in range(n2):
+        img = _image(auto.perm, product.col(j))
+        table = cols if want == "col" else rows
+        if img not in table:
+            raise FactorizationFailure(
+                "column images match the side choice", (j, _atoms(img))
+            )
+        col_targets.append(table[img])
+    left_map = tuple(t for _, t in row_targets)
+    right_map = tuple(col_targets)
+    failed = _failing_factor_map(product, side, left_map, right_map)
+    if failed:
+        raise FactorizationFailure(*failed)
+    for i in range(n1):
+        for j in range(n2):
+            got = _image(auto.perm, product.singleton(i, j))
+            if side == "straight":
+                want_atom = product.singleton(left_map[i], right_map[j])
+            else:
+                want_atom = product.singleton(right_map[j], left_map[i])
+            if got != want_atom:
+                raise FactorizationFailure(
+                    "recomposition agrees on every pair atom",
+                    ((i, j), _atoms(got)),
+                )
+    return side, left_map, right_map

@@ -80,6 +80,10 @@ def test_covering_shape_violations(mo2):
         seplat.weakly_connected(lat, Covering(()))
     with pytest.raises(CoveringError):
         seplat.weakly_connected(lat, Covering((0b10000,)))
+    for block in ([0, -1], [0, 1.0], [0, True]):
+        with pytest.raises(CoveringError) as exc:
+            Covering.from_lists([[2, 3], block])
+        assert exc.value.reason == "blocks use atoms of the lattice"
     res = seplat.weakly_connected(lat, Covering.from_lists([[0], [1, 2, 3]]))
     assert not res.ok and res.condition == "blocks have at least two atoms"
     res = seplat.weakly_connected(lat, Covering.from_lists([[0, 1]]))

@@ -229,6 +229,17 @@ def test_cli_check_weak_connectedness(tmp_path, docs, capsys):
     assert "weak-connectedness-refuted: pass" in capsys.readouterr().out
 
 
+def test_cli_rejects_negative_covering_atoms(docs, capsys):
+    for argv in (
+        ["check", docs["mo2"], "--weakly-connected", "--covering=0,-1"],
+        ["sproduct-check", docs["prod"], docs["mo2"], docs["mo2"], "--covering1=0,-1"],
+        ["sproduct-check", docs["prod"], docs["mo2"], docs["mo2"], "--covering2=-2,1"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "blocks use atoms of the lattice" in err and "Traceback" not in err
+
+
 def test_cli_sproduct_check(tmp_path, docs, capsys):
     report = str(tmp_path / "axioms.json")
     code = main(

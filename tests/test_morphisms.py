@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seplat
-from seplat import Lattice, _kernels, morphisms
+from seplat import Lattice, _kernels
 from seplat.bitset import atoms_of, full_mask, mask_of
 from seplat.errors import (
     CharacterizationError,
@@ -32,6 +32,15 @@ def _wide_mo_like(n_atoms: int) -> Lattice:
     """Height-two lattice with the given atom count (caps bait)."""
     fam = [0, full_mask(n_atoms)] + [1 << a for a in range(n_atoms)]
     return Lattice(n_atoms, fam)
+
+
+def _pasch() -> Lattice:
+    """Every pair closed, and the four triples of the Pasch configuration:
+    the pair counts form an octahedron whose other four faces are no
+    members, so a map keeping the pair counts need not be an isomorphism."""
+    fam = [mask_of(c) for r in range(3) for c in itertools.combinations(range(6), r)]
+    fam += [mask_of(t) for t in ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))]
+    return Lattice.from_closed_family(6, fam + [full_mask(6)])
 
 
 # -- automorphism enumeration ------------------------------------------------
@@ -246,17 +255,17 @@ def test_non_automorphism_fails_factorization(prod22):
     assert "column images" in exc.value.step
 
 
-def test_non_bijective_extracted_map_fails_factorization(prod22):
-    # a mask map (not a permutation) sending every row onto row 0
+def test_non_permutations_are_rejected(prod22):
+    # a mask map sending every row onto row 0, and a bare atom-image tuple
     rows = {prod22.row(i) for i in range(4)}
 
     def collapse(mask):
         return prod22.row(0) if mask in rows else mask
 
-    with pytest.raises(FactorizationError) as exc:
-        seplat.factor_automorphism(prod22, collapse)
-    assert exc.value.step == "left map is a factor automorphism"
-    assert exc.value.witness == (0, 0, 0, 0)
+    for auto in (collapse, tuple(range(16))):
+        with pytest.raises(ValidationError) as exc:
+            seplat.factor_automorphism(prod22, auto)
+        assert exc.value.law == "automorphism is a permutation of the atoms"
 
 
 @pytest.mark.parametrize("length", [4, 15, 17])
@@ -266,12 +275,19 @@ def test_permutations_of_other_lengths_are_rejected(prod22, length):
     assert exc.value.law == "automorphism permutes the product's pair atoms"
 
 
-def _factor_outcome(factor, prod, u):
+def _factor_outcome(prod, u):
     try:
-        res = factor(prod, u)
+        res = seplat.factor_automorphism(prod, u)
     except FactorizationError as e:
         return "fail", e.step, e.witness
     return "ok", res.side, res.left_map, res.right_map
+
+
+def _oracle_outcome(prod, u):
+    try:
+        return ("ok",) + oracles.factor_by_steps(prod, u)
+    except oracles.FactorizationFailure as e:
+        return "fail", e.step, e.witness
 
 
 def _pair_maps(n: int):
@@ -283,18 +299,12 @@ def _pair_maps(n: int):
             yield Automorphism(b * n + a for a in u1 for b in u2)
 
 
-def test_pair_reading_agrees_with_the_steps(prod22, prod23, b3, mo2, monkeypatch):
-    # factor_automorphism accepts a pair permutation without running the
-    # steps; it must give what the steps give on every map, and run them
-    # exactly on the maps that fail.  Every member of Aut(MO(2)xMO(2)) and
-    # Aut(MO(2)xMO(3)) factors; many members of Aut(B3xMO(2)) do not, and
-    # the pair maps over a factor with a non-automorphism atom permutation
-    # fail at the factor-map steps.
-    steps = morphisms._factor_by_steps
-    ran = []
-    monkeypatch.setattr(
-        morphisms, "_factor_by_steps", lambda prod, u: ran.append(u) or steps(prod, u)
-    )
+def test_pair_reading_agrees_with_the_steps(prod22, prod23, b3, mo2):
+    # factor_automorphism reads the factor maps off the pair permutation;
+    # it must give what the row/column steps give on every map.  Every
+    # member of Aut(MO(2)xMO(2)) and Aut(MO(2)xMO(3)) factors; many members
+    # of Aut(B3xMO(2)) do not, and the pair maps over a factor with a
+    # non-automorphism atom permutation fail at the factor-map steps.
     chain = Lattice.from_closed_family(3, [0b011], mode="complete")
     prod_b3 = seplat.aerts_product_general(b3[0], mo2[0])
     rng = random.Random(2)
@@ -312,10 +322,8 @@ def test_pair_reading_agrees_with_the_steps(prod22, prod23, b3, mo2, monkeypatch
     instances.append(("chain", seplat.aerts_product_general(chain, chain), _pair_maps(3)))
     for name, prod, maps in instances:
         for u in maps:
-            ran.clear()
-            got = _factor_outcome(seplat.factor_automorphism, prod, u)
-            assert got == _factor_outcome(steps, prod, u)
-            assert len(ran) == (got[0] == "fail")
+            got = _factor_outcome(prod, u)
+            assert got == _oracle_outcome(prod, u)
             outcomes[name, got[:2]] += 1
     assert outcomes["2x2", ("ok", "straight")] == outcomes["2x2", ("ok", "swapped")] == 576
     assert outcomes["2x3", ("ok", "straight")] == 17280
@@ -329,6 +337,11 @@ def test_pair_reading_agrees_with_the_steps(prod22, prod23, b3, mo2, monkeypatch
         "right map is a factor automorphism",
         "left map is an isomorphism onto the right factor",
         "right map is an isomorphism onto the left factor",
+    }
+    # the steps the library drops are never reached on a permutation
+    assert not failed & {
+        "side choice constant across rows",
+        "recomposition agrees on every pair atom",
     }
 
 
@@ -405,8 +418,9 @@ def test_isomorphic_reflexive_and_symmetric(mo2, prod23):
         (lambda: seplat.build_mo(2)[0], (2, 0, 3, 1)),
         (lambda: seplat.build_boolean(3)[0], (2, 0, 1)),
         (lambda: seplat.build_subspace_lattice(2, 3), (6, 0, 5, 1, 4, 2, 3)),
+        (_pasch, (0, 1, 3, 2, 4, 5)),
     ],
-    ids=["mo2", "b3", "gf2_3"],
+    ids=["mo2", "b3", "gf2_3", "pasch"],
 )
 def test_isomorphic_on_a_relabelled_copy(make, relabel):
     lat = make()
