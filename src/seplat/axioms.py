@@ -9,6 +9,7 @@ treated as a refutation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -217,6 +218,17 @@ def laterally_connected(
         j_join = base.join((product.singleton(i, p2), product.singleton(k, p2)))
         return popcount(j_join) >= 3
 
+    # The clause asks for p1 serving rp and p2 serving lp, two conditions
+    # that share no atom, so it holds exactly when each side has its own
+    # witness; each pair's side is worked out once, on first use.
+    @functools.cache
+    def right_served(rp: Optional[tuple[int, int]]) -> bool:
+        return rp is None or any(lateral_right(p1, *rp) for p1 in range(n1))
+
+    @functools.cache
+    def left_served(lp: Optional[tuple[int, int]]) -> bool:
+        return lp is None or any(lateral_left(*lp, p2) for p2 in range(n2))
+
     skip_left, skip_right = n1 == 2, n2 == 2
     for b1 in cov1.blocks:
         left_pairs = [None] if skip_left else list(
@@ -228,20 +240,7 @@ def laterally_connected(
             )
             for lp in left_pairs:
                 for rp in right_pairs:
-                    hit = False
-                    for p1 in range(n1):
-                        if rp is not None and not lateral_right(p1, rp[0], rp[1]):
-                            continue
-                        if lp is None:
-                            hit = True
-                            break
-                        for p2 in range(n2):
-                            if lateral_left(lp[0], lp[1], p2):
-                                hit = True
-                                break
-                        if hit:
-                            break
-                    if not hit:
+                    if not (right_served(rp) and left_served(lp)):
                         return ConnectivityResult(
                             False,
                             "a pair atom giving both lateral joins a third atom",
@@ -476,9 +475,10 @@ def _block_of(perms: list[tuple[int, ...]], n: int, atoms: int) -> int:
     return mask_of(p for p in range(n) if find(p) == root)
 
 
-def _blocks(group: AutoGroup) -> list[int]:
+def _blocks(group: AutoGroup, transversal: dict[int, Automorphism]) -> list[int]:
     """Every block of the group, in ascending mask order: the nonempty
     atom subsets A with u(A) ∩ A ∈ {u(A), ∅} for every member u.
+    `transversal` is `group.transversal(0)`, or empty for no atoms.
 
     A transitive group's blocks holding atom 0 are reached from {0} by
     adding one atom q and taking the smallest block (`_block_of`): each
@@ -490,7 +490,6 @@ def _blocks(group: AutoGroup) -> list[int]:
     """
     n = group.lattice.atom_count
     perms = [g.perm for g in group.generators]
-    transversal = group.transversal(0) if n else {}
     if n and len(transversal) == n:
         full = full_mask(n)
         holding_0 = [1]
@@ -552,7 +551,7 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
             return TransitivityResult(
                 False, "some member fixes p and moves q", (p, atoms_of(unmoved)[0])
             )
-    for block in _blocks(group):
+    for block in _blocks(group, transversal):
         if block != full and popcount(block) != 1:
             return TransitivityResult(False, "only trivial invariant subsets", atoms_of(block))
     return TransitivityResult(True)
@@ -631,4 +630,5 @@ def classify_invariant_subsets(
             return "column"
         return "unexpected"
 
-    return ClassificationResult([(m, tag(m)) for m in _blocks(group)])
+    transversal = group.transversal(0) if product.base.atom_count else {}
+    return ClassificationResult([(m, tag(m)) for m in _blocks(group, transversal)])

@@ -22,12 +22,20 @@ from .axioms import (
     strongly_transitive,
     weakly_connected,
 )
-from .bitset import atoms_of, holding, incidence_rows, is_subset, iter_atoms, popcount
+from .bitset import (
+    atoms_of,
+    full_mask,
+    holding,
+    incidence_rows,
+    is_subset,
+    iter_atoms,
+    mask_of,
+    popcount,
+)
 from .errors import (
     CharacterizationError,
     FactorizationError,
     OrthoViolation,
-    SizeCapError,
     ValidationError,
 )
 from .lattice import Lattice
@@ -40,8 +48,6 @@ from .product import (
     otimes,
     sharp_relation,
 )
-
-ORTHO_ATOM_CAP = 24
 
 
 def _atom_pair_counts(lattice: Lattice) -> list[list[int]]:
@@ -265,8 +271,8 @@ def factor_automorphism(
     the intersection of their images: `perm` is the pair map of the
     extracted maps.  A bijection that sends the meet-irreducibles into the
     target sends every member there (see `Lattice.meet_irreducibles`).
-    When exactly one factor has no atoms, its empty rows or columns are
-    no lines, so the row or column step fails.
+    An empty `perm` means n1·n2 = 0; it is the pair map of the two
+    identities, which factor straight.
     """
     n1, n2 = product.left.atom_count, product.right.atom_count
     if not isinstance(auto, Automorphism):
@@ -274,6 +280,8 @@ def factor_automorphism(
     perm = auto.perm
     if not len(perm) == n1 * n2 == product.base.atom_count:
         raise ValidationError("automorphism permutes the product's pair atoms", len(perm))
+    if not perm:
+        return FactorizationResult("straight", tuple(range(n1)), tuple(range(n2)))
     # The line index that the atoms of a row image must share: their row
     # on the straight side, their column on the swapped side; the atoms of
     # a column image share the other one.
@@ -326,30 +334,30 @@ def enumerate_orthocomplementations(
 ) -> list[OrthoMap]:
     """Exhaustive search for orthocomplementations.
 
-    Backtracks over atom-to-coatom assignments with the symmetry
-    constraint (p below the image of q iff q below the image of p) and
-    the complement constraint (no atom below its own image), extends each
-    complete assignment to all elements by meets, and keeps those passing
-    full validation.  Results appear in lexicographic order of the
-    assigned coatom indices; `limit` stops the search early.
+    An orthocomplementation sends distinct atoms p to distinct coatoms
+    c_p with p not below c_p and p below c_q iff q below c_p, and every
+    other element to the meet of its atoms' images.  The search assigns
+    the atoms in index order, keeping each atom's candidates as a mask
+    of coatom indices (`Lattice.coatoms` order): holds[p] is the mask of
+    the coatoms holding p, and atom p starts with the coatoms not holding
+    it.  Sending p to c keeps, for every later q, the candidates holding
+    p when q is below c and those not holding p otherwise, so the
+    symmetry constraint is met on assignment; a branch in which some
+    later atom has no unused candidate left is dropped at once.  Each
+    complete assignment is extended by meets and kept when it passes
+    `validate_ortho`.  Results appear in lexicographic order of the
+    assigned coatom indices; `limit` stops the search early, so the
+    result is a prefix of the full list.
     """
     n = lattice.atom_count
-    if n > ORTHO_ATOM_CAP:
-        raise SizeCapError(
-            f"orthocomplementation search over {n} atoms exceeds cap "
-            f"{ORTHO_ATOM_CAP}"
-        )
     coatoms = lattice.coatoms()
     found: list[OrthoMap] = []
     if n == 0 or len(coatoms) != n or (limit is not None and limit <= 0):
         return found
-    candidates = [
-        [c for c in coatoms if not (c >> p) & 1] for p in range(n)
-    ]
-    images: list[Optional[int]] = [None] * n
-    used: set[int] = set()
+    holds = [mask_of(i for i, c in enumerate(coatoms) if c >> p & 1) for p in range(n)]
+    images = [0] * n
 
-    def dfs(p: int) -> bool:
+    def dfs(p: int, cand: list[int], used: int) -> bool:
         if p == n:
             atom_images = {1 << q: images[q] for q in range(n)}
             candidate = OrthoMap.from_atom_images(lattice, atom_images)
@@ -358,26 +366,23 @@ def enumerate_orthocomplementations(
             except OrthoViolation:
                 return False
             return limit is not None and len(found) >= limit
-        for c in candidates[p]:
-            if c in used:
-                continue
-            ok = True
-            for q in range(p):
-                if bool((images[q] >> p) & 1) != bool((c >> q) & 1):
-                    ok = False
+        free = cand[p] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            c, now = coatoms[low.bit_length() - 1], used | low
+            nxt = cand[:]
+            for q in range(p + 1, n):
+                nxt[q] &= holds[p] if c >> q & 1 else ~holds[p]
+                if not nxt[q] & ~now:
                     break
-            if not ok:
-                continue
-            images[p] = c
-            used.add(c)
-            stop = dfs(p + 1)
-            used.discard(c)
-            images[p] = None
-            if stop:
-                return True
+            else:
+                images[p] = c
+                if dfs(p + 1, nxt, now):
+                    return True
         return False
 
-    dfs(0)
+    dfs(0, [full_mask(n) & ~h for h in holds], 0)
     return found
 
 

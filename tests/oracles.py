@@ -604,3 +604,129 @@ def factor_by_steps(product, auto):
                     ((i, j), _atoms(got)),
                 )
     return side, left_map, right_map
+
+
+# -- orthocomplementation search in index order ----------------------------
+
+
+def ortho_search_by_index(closed_sets, n_atoms: int, limit=None) -> list[tuple[int, ...]]:
+    """Orthocomplementations of the atomistic lattice with the given
+    closed sets (masks, in family order), as the tuple of atom images
+    (coatom masks), by a backtracking search that assigns the atoms in
+    index order and checks the symmetry constraint against the earlier
+    atoms only.  Coatoms are tried in family order, so the results come in
+    lexicographic order of the assigned coatom indices; `limit` stops the
+    search after that many.  Each complete assignment is extended by meets
+    and kept when the laws hold on every element and every pair."""
+    family = list(closed_sets)
+    members = set(family)
+    top = (1 << n_atoms) - 1
+    proper = [s for s in family if s != top]
+    coatoms = [s for s in proper if not any(s != t and s & ~t == 0 for t in proper)]
+    found: list[tuple[int, ...]] = []
+    if n_atoms == 0 or len(coatoms) != n_atoms or (limit is not None and limit <= 0):
+        return found
+    candidates = [[c for c in coatoms if not (c >> p) & 1] for p in range(n_atoms)]
+    images = [None] * n_atoms
+    used = set()
+
+    def is_ortho() -> bool:
+        omap = {}
+        for s in family:
+            img = top
+            for a in _atoms(s):
+                img &= images[a]
+            omap[s] = img
+        for s in family:
+            if omap[s] not in members or omap[omap[s]] != s or s & omap[s]:
+                return False
+            # the join of s and s' is top: no proper member holds both
+            if any((s | omap[s]) & ~t == 0 for t in proper):
+                return False
+        return all(omap[t] & ~omap[s] == 0 for s in family for t in family if s & ~t == 0)
+
+    def dfs(p: int) -> bool:
+        if p == n_atoms:
+            if not is_ortho():
+                return False
+            found.append(tuple(images))
+            return limit is not None and len(found) >= limit
+        for c in candidates[p]:
+            if c in used:
+                continue
+            if any(bool((images[q] >> p) & 1) != bool((c >> q) & 1) for q in range(p)):
+                continue
+            images[p] = c
+            used.add(c)
+            stop = dfs(p + 1)
+            used.discard(c)
+            images[p] = None
+            if stop:
+                return True
+        return False
+
+    dfs(0)
+    return found
+
+
+# -- lateral connectedness, pair by pair -------------------------------------
+
+
+def lateral_clauses_nested(closed_sets, n1: int, n2: int, blocks1, blocks2):
+    """(ok, condition, witness) of lateral connectedness of a product base
+    (pair (i, j) being atom i * n2 + j) for the given factor blocks (atom
+    masks), with the main clause searched pair atom by pair atom for each
+    left pair and right pair, in block order, and the two-atom clauses of
+    a two-atom factor after it.  Joins are the intersection of the closed
+    sets holding the union."""
+    family = list(closed_sets)
+    top = (1 << n1 * n2) - 1
+
+    def third_atom(a: int, b: int) -> bool:
+        union, join = 1 << a | 1 << b, top
+        for s in family:
+            if union & ~s == 0:
+                join &= s
+        return _popcount(join) >= 3
+
+    def lateral_right(p1, j, k):
+        return third_atom(p1 * n2 + j, p1 * n2 + k)
+
+    def lateral_left(i, k, p2):
+        return third_atom(i * n2 + p2, k * n2 + p2)
+
+    skip_left, skip_right = n1 == 2, n2 == 2
+    for b1 in blocks1:
+        left_pairs = [None] if skip_left else list(itertools.combinations(_atoms(b1), 2))
+        for b2 in blocks2:
+            right_pairs = [None] if skip_right else list(itertools.combinations(_atoms(b2), 2))
+            for lp in left_pairs:
+                for rp in right_pairs:
+                    hit = False
+                    for p1 in range(n1):
+                        if rp is not None and not lateral_right(p1, rp[0], rp[1]):
+                            continue
+                        if lp is None:
+                            hit = True
+                            break
+                        for p2 in range(n2):
+                            if lateral_left(lp[0], lp[1], p2):
+                                hit = True
+                                break
+                        if hit:
+                            break
+                    if not hit:
+                        return (
+                            False,
+                            "a pair atom giving both lateral joins a third atom",
+                            (lp, rp),
+                        )
+    if skip_left:
+        for p1 in range(2):
+            if not any(lateral_left(p1, 1 - p1, q) for q in range(n2)):
+                return False, "two-atom left factor lateral clause", p1
+    if skip_right:
+        for p2 in range(2):
+            if not any(lateral_right(q, p2, 1 - p2) for q in range(n1)):
+                return False, "two-atom right factor lateral clause", p2
+    return True, None, None

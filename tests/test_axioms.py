@@ -151,6 +151,70 @@ def test_disconnected_covering_raises(prod22):
     assert "left covering is not connected" in str(exc.value)
 
 
+def _lateral_outcomes(prod):
+    """(library, nested loop) outcomes of lateral connectedness under the
+    single-block coverings."""
+    cov1, cov2 = _single_blocks(prod)
+    res = seplat.laterally_connected(prod, cov1, cov2)
+    nested = oracles.lateral_clauses_nested(
+        prod.base.closed_sets, prod.left.atom_count, prod.right.atom_count,
+        cov1.blocks, cov2.blocks,
+    )
+    return (res.ok, res.condition, res.witness), nested
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_lateral_clauses_match_the_nested_loop_on_mo_products(m, n):
+    prod = seplat.aerts_product_general(seplat.build_mo(m)[0], seplat.build_mo(n)[0])
+    got, want = _lateral_outcomes(prod)
+    assert got == want
+
+
+def test_lateral_clauses_match_the_nested_loop_on_random_supersets(prod22):
+    # Each draw closes one right pair in some rows and one left pair in some
+    # columns; the clause fails when a pair is closed in every row or column.
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(30):
+        (j, k), (i, l) = rng.sample(range(4), 2), rng.sample(range(4), 2)
+        extra = [
+            prod22.singleton(r, j) | prod22.singleton(r, k)
+            for r in range(4)
+            if rng.random() < 0.75
+        ]
+        extra += [
+            prod22.singleton(i, c) | prod22.singleton(l, c)
+            for c in range(4)
+            if rng.random() < 0.75
+        ]
+        base = Lattice.from_closed_family(
+            16, list(prod22.base.closed_sets) + extra, mode="complete"
+        )
+        got, want = _lateral_outcomes(dataclasses.replace(prod22, base=base))
+        assert got == want
+        verdicts.append(got[0])
+    assert 0 < verdicts.count(False) < 30
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+def test_lateral_clause_fails_on_a_closed_pair_in_every_row(m, n, start):
+    # With {(i, start), (i, start + 1)} closed in every row i, that right
+    # pair's lateral join holds two atoms at every p1, so the first left
+    # pair fails against it.
+    prod = seplat.aerts_product_general(seplat.build_mo(m)[0], seplat.build_mo(n)[0])
+    rows = [
+        prod.singleton(i, start) | prod.singleton(i, start + 1)
+        for i in range(prod.left.atom_count)
+    ]
+    base = Lattice.from_closed_family(
+        prod.base.atom_count, list(prod.base.closed_sets) + rows, mode="complete"
+    )
+    got, want = _lateral_outcomes(dataclasses.replace(prod, base=base))
+    assert got == want
+    assert got[0] is False and got[2] == ((0, 1), (start, start + 1))
+
+
 # -- the product axioms -------------------------------------------------------
 
 

@@ -132,7 +132,7 @@ def _mask_from_span(vectors, lat, field, d):
     return out
 
 
-@pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_subspace_meet_join_match_linear_algebra(q, d):
     lat = seplat.build_subspace_lattice(q, d)
     field = oracles.FieldOracle(q)

@@ -16,7 +16,6 @@ from seplat.bitset import atoms_of, full_mask, mask_of
 from seplat.errors import (
     CharacterizationError,
     FactorizationError,
-    SizeCapError,
     ValidationError,
 )
 from seplat.perm import Automorphism, AutoGroup
@@ -246,6 +245,21 @@ def test_every_product_automorphism_factors(prod22, aut_prod22):
     assert sides == {"straight": 576, "swapped": 576}
 
 
+@pytest.mark.parametrize("atomless_left", [True, False])
+def test_empty_pair_map_factors_into_identities(mo1, atomless_left):
+    # With an atomless factor there are no pair atoms, and the empty map is
+    # the pair map of the two identities.
+    empty = Lattice(0, [0])
+    left, right = (empty, mo1[0]) if atomless_left else (mo1[0], empty)
+    prod = seplat.aerts_product_general(left, right)
+    res = seplat.factor_automorphism(prod, Automorphism(()))
+    assert (res.side, res.left_map, res.right_map) == (
+        "straight",
+        tuple(range(left.atom_count)),
+        tuple(range(right.atom_count)),
+    )
+
+
 def test_non_automorphism_fails_factorization(prod22):
     # swapping two atoms of one row warps every column through that row
     perm = list(range(16))
@@ -399,9 +413,62 @@ def test_ortho_search_is_deterministic(mo3):
     assert a == b
 
 
-def test_ortho_search_atom_cap():
-    with pytest.raises(SizeCapError):
-        seplat.enumerate_orthocomplementations(_wide_mo_like(25))
+ORTHO_SEARCH_INSTANCES = {
+    "MO(4)": lambda: seplat.build_mo(4)[0],
+    "MO(2)xMO(2)": lambda: _general_product(seplat.build_mo(2)[0], seplat.build_mo(2)[0]),
+    "MO(2)xMO(3)": lambda: _general_product(seplat.build_mo(2)[0], seplat.build_mo(3)[0]),
+    "B(3)xMO(2)": lambda: _general_product(seplat.build_boolean(3)[0], seplat.build_mo(2)[0]),
+    "GF(2)^3": lambda: seplat.build_subspace_lattice(2, 3),
+}
+
+
+def _general_product(left, right):
+    return seplat.aerts_product_general(left, right).base
+
+
+@pytest.mark.parametrize("name", sorted(ORTHO_SEARCH_INSTANCES))
+def test_ortho_search_matches_the_index_order_oracle(name):
+    # the forward-checked search returns the maps, and the prefixes, of
+    # the search that checks each atom against the earlier atoms only
+    lat = ORTHO_SEARCH_INSTANCES[name]()
+
+    def images(found):
+        return [tuple(om.images[1 << p] for p in range(lat.atom_count)) for om in found]
+
+    full = oracles.ortho_search_by_index(lat.closed_sets, lat.atom_count)
+    assert images(seplat.enumerate_orthocomplementations(lat)) == full
+    for limit in (1, 2, 5):
+        limited = seplat.enumerate_orthocomplementations(lat, limit=limit)
+        assert images(limited) == full[:limit]
+        assert images(limited) == oracles.ortho_search_by_index(
+            lat.closed_sets, lat.atom_count, limit
+        )
+
+
+def test_ortho_search_past_24_atoms_without_orthocomplementations(mo2):
+    # GF(2)^3 has no orthocomplementation, so its product with MO(2)
+    # (28 atoms) has none either
+    lat = _general_product(seplat.build_subspace_lattice(2, 3), mo2[0])
+    assert lat.atom_count == 28
+    assert seplat.enumerate_orthocomplementations(lat) == []
+
+
+def test_ortho_search_counts_the_mo3_square(mo3):
+    # 36 atoms, and #Ortho(MO(3))² = 15 · 15 maps, as the theorem predicts
+    # for factors that meet its hypotheses
+    lat = _general_product(mo3[0], mo3[0])
+    assert len(seplat.enumerate_orthocomplementations(lat)) == 225
+
+
+def test_every_ortho_of_the_mixed_product_characterizes(mo2, mo3):
+    prod = seplat.aerts_product_general(mo2[0], mo3[0])
+    found = seplat.enumerate_orthocomplementations(prod.base)
+    assert len(found) == 45
+    induced = set()
+    for om in found:
+        res = seplat.characterize(prod.with_ortho(om), check_hypotheses=False)
+        induced.add((res.induced_left, res.induced_right))
+    assert len(induced) == 3 * 15
 
 
 # -- order isomorphism ---------------------------------------------------------

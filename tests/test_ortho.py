@@ -122,12 +122,26 @@ def test_mo_has_exactly_n_orthogonal_pairs(mo3):
 # -- orthomodularity and commutation ---------------------------------------
 
 
+def _orthomodular_by_pairs(lat, om):
+    fam = {frozenset(atoms_of(m)) for m in lat.closed_sets}
+    omap = {frozenset(atoms_of(x)): frozenset(atoms_of(om(x))) for x in lat}
+    return oracles.orthomodular_double_loop(fam, omap)
+
+
 def test_orthomodular_matches_oracle(mo2, mo3, b3):
     for lat, om in (mo2, mo3, b3):
-        fam = {frozenset(atoms_of(m)) for m in lat.closed_sets}
-        omap = {frozenset(atoms_of(x)): frozenset(atoms_of(om(x))) for x in lat}
-        assert seplat.is_orthomodular(lat, om) == oracles.orthomodular_double_loop(fam, omap)
+        assert seplat.is_orthomodular(lat, om) == _orthomodular_by_pairs(lat, om)
         assert seplat.is_orthomodular(lat, om)
+
+
+def test_orthomodular_matches_oracle_on_every_searched_map(prod22):
+    verdicts = []
+    for lat in (prod22.base, seplat.build_mo(4)[0]):
+        for om in seplat.enumerate_orthocomplementations(lat):
+            verdicts.append(seplat.is_orthomodular(lat, om))
+            assert verdicts[-1] == _orthomodular_by_pairs(lat, om)
+    # no map of the product is orthomodular, and every map of MO(4) is
+    assert verdicts == [False] * 9 + [True] * 105
 
 
 def test_product_is_not_orthomodular(prod22):
