@@ -2,9 +2,10 @@
 
 Masks are plain ints, so the kernels take any atom count.
 
-`close_under_intersection` intersects each new member with the seeds
-only, never with the members found so far, since every member of the
-closure is an intersection of seeds.
+`close_under_intersection` adds one seed at a time: the closure of the
+universe and s1..sk is the closure of the first k−1 seeds together with
+the intersections of sk with its members, so each seed costs one pass of
+set-builtin ANDs over the members found so far.
 
 Every kernel that applies a permutation goes through `_mask_action`,
 which maps a mask through the list of atom images one set bit at a
@@ -23,23 +24,22 @@ BACKEND = "pure"
 
 def close_under_intersection(seeds: Iterable[int], universe: int) -> list[int]:
     """Smallest family containing `seeds` and `universe` that is closed
-    under pairwise intersection.  Returns the members in ascending int
-    order (callers re-sort into canonical family order).
+    under pairwise intersection, for seeds that are subsets of
+    `universe`.  Returns the members in ascending int order (callers
+    re-sort into canonical family order).
 
-    Each new member is intersected with the seeds only: every member of
-    the closure is the universe or an intersection of seeds, and
-    s1 ∩ … ∩ sk is reached from s1 one seed at a time.  Cost
-    O(members · seeds)."""
-    seeds = set(seeds)
-    found = seeds | {universe}
-    work = list(found)
-    while work:
-        x = work.pop()
-        for s in seeds:
-            z = x & s
-            if z not in found:
-                found.add(z)
-                work.append(z)
+    Seeds are added one at a time.  Let C be the closure of the universe
+    and the seeds added so far, and s the next seed.  Every member of the
+    closure with s added is an intersection of some of these sets, so it
+    is c or s ∩ c for some c in C, and C ∪ {s ∩ c : c ∈ C} is closed
+    under intersection, as (s ∩ c) ∩ c' = s ∩ (c ∩ c').  That union is
+    therefore the new closure; it holds s = s ∩ universe, and a seed that
+    is already a member changes nothing.  Cost O(members · seeds) ANDs,
+    each pass one `map` over the members found so far."""
+    found = {universe}
+    for s in set(seeds):
+        if s not in found:
+            found |= set(map(s.__and__, found))
     return sorted(found)
 
 

@@ -79,14 +79,23 @@ def holding(rows: Sequence[int], raw: int, width: int) -> int:
     return sel
 
 
-def family_key(mask: int) -> tuple[int, ...]:
-    """Sort key giving the canonical family order.
-
-    Families are stored sorted by the ascending atom tuple of each member,
-    compared lexicographically, so the bottom (empty set) always comes first.
-    """
-    return atoms_of(mask)
-
-
 def canonical_family(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=family_key))
+    """The distinct masks in canonical family order: by the ascending atom
+    tuple of each member, compared lexicographically, so the bottom
+    (empty set) always comes first.
+
+    The sort key writes a nonzero mask's bits from atom 0 up, with "a"
+    for a held atom and "b" for a missing one, and gives 0 the empty
+    string.  The keys sort as the atom tuples do.  Let A ≠ B be nonempty
+    and d the lowest atom of A △ B, say d ∈ A; the two tuples and the
+    two keys agree below d.  If B has an atom above d, B's tuple holds a
+    larger atom at the position where A's holds d, and B's key holds "b"
+    where A's holds "a", so A comes first both ways.  If it does not, B's
+    tuple is a prefix of A's and B's key, which ends below d, a prefix
+    of A's, so B comes first both ways.  The empty tuple and the empty
+    key come before all others.  Built by `bin` and `str.translate`, the
+    key costs no Python loop over the atoms."""
+    letters = str.maketrans("10", "ab")
+    return tuple(
+        sorted(set(masks), key=lambda m: bin(m)[:1:-1].translate(letters) if m else "")
+    )

@@ -135,7 +135,20 @@ def dump_product(dest: Union[str, TextIO], product: ProductLattice) -> None:
 
 
 def _write_json(dest: Union[str, TextIO], payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write a dict one key per line, or a list one item per line, each
+    value on its own line as compact JSON with sorted keys: the layout of
+    the README's document example."""
+    if isinstance(payload, dict):
+        brackets = "{}"
+        items = [
+            f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+            for k, v in sorted(payload.items())
+        ]
+    else:
+        brackets = "[]"
+        items = [json.dumps(v, sort_keys=True) for v in payload]
+    lines = ",\n".join(f"  {item}" for item in items)
+    text = f"{brackets[0]}\n{lines}\n{brackets[1]}\n" if items else brackets + "\n"
     if isinstance(dest, str):
         with open(dest, "w") as fh:
             fh.write(text)

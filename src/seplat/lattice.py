@@ -17,7 +17,6 @@ from .bitset import (
     canonical_family,
     full_mask,
     holding,
-    incidence_rows,
     is_subset,
     iter_atoms,
     popcount,
@@ -49,7 +48,10 @@ class Lattice:
         "_index",
         "_covers",
         "_meet_irreducibles",
+        "_mi_found",
         "_atom_rows",
+        "_sig",
+        "_by_sig",
     )
 
     def __init__(
@@ -68,7 +70,10 @@ class Lattice:
         self._index = {m: i for i, m in enumerate(self.closed_sets)}
         self._covers = None
         self._meet_irreducibles = None
+        self._mi_found = None
         self._atom_rows = None
+        self._sig = None
+        self._by_sig = None
 
     # -- construction -------------------------------------------------
 
@@ -110,7 +115,19 @@ class Lattice:
 
     def validate(self) -> None:
         """Check every structural invariant, raising ValidationError with
-        the first violated law and a witness."""
+        the first violated law and a witness.
+
+        Closure under intersection is checked by closing the
+        meet-irreducibles (MI) inside the family.  The descending pass of
+        `meet_irreducibles` makes every member of a family with top the
+        intersection of the candidates found above it, so the family lies
+        inside the closure of top and the MI, and it is closed exactly
+        when that closure lies inside it.  The closure is built one MI m
+        at a time as in `_kernels.close_under_intersection`, C grows by
+        {m ∩ c : c ∈ C}, and the first step that leaves the family is
+        reported with the witness (c, m), c the first member of C in
+        family order with c ∩ m missing.  C never leaves the family, so
+        even a malformed family costs at most |family| · |MI| ANDs."""
         top = full_mask(self.atom_count)
         index = self._index
         if top not in index:
@@ -120,20 +137,17 @@ class Lattice:
         for a in range(self.atom_count):
             if (1 << a) not in index:
                 raise ValidationError("every singleton is closed", (a,))
-        # The descending pass of `meet_irreducibles` makes every member of
-        # a family with top the intersection m1 ∩ … ∩ mk of the candidates
-        # found above it.  So x ∩ y is reached from x one candidate at a
-        # time, and the family is closed exactly when each x ∩ m is a member.
-        mi = self.meet_irreducibles()
-        for x in self.closed_sets:
-            for m in mi:
-                z = x & m
-                if z not in index:
-                    raise ValidationError(
-                        "family is closed under intersection",
-                        (atoms_of(x), atoms_of(m)),
-                        f"missing {atoms_of(z)}",
-                    )
+        closed = {top}
+        for m in self.meet_irreducibles():
+            new = set(map(m.__and__, closed))
+            if not index.keys() >= new:
+                c = next(c for c in self.closed_sets if c in closed and c & m not in index)
+                raise ValidationError(
+                    "family is closed under intersection",
+                    (atoms_of(c), atoms_of(m)),
+                    f"missing {atoms_of(c & m)}",
+                )
+            closed |= new
 
     # -- basic structure ----------------------------------------------
 
@@ -202,40 +216,58 @@ class Lattice:
 
     def join(self, xs: Iterable[int]) -> int:
         """Join of any collection: the smallest closed superset of the
-        union.  Empty collection gives bottom."""
-        u = 0
+        union.  Empty collection gives bottom.
+
+        Read off the signatures of `meet_irreducibles`: the
+        meet-irreducibles above the union are those above every x, the
+        AND of the signatures, and the member that is their meet, the
+        join, has exactly that signature.  A signature that no member has
+        only arises on a bare `Lattice` that was never validated; the
+        join is then the meet of those meet-irreducibles, as `closure`
+        gives it."""
+        if self._sig is None:
+            self.meet_irreducibles()
+        sig = self._sig
+        sel = (1 << len(self._mi_found)) - 1
         for x in xs:
-            u |= self.require(x)
-        return self.closure(u)
+            try:
+                sel &= sig[x]
+            except KeyError:
+                raise ForeignElementError(x) from None
+        try:
+            return self._by_sig[sel]
+        except KeyError:
+            return self._meet_of(sel)
 
     def closure(self, raw: int) -> int:
         """Smallest closed superset of an arbitrary set of the lattice's
         atoms; ValidationError for any other int.
 
         The closure is a member, hence the meet of the meet-irreducibles
-        above it, and those are exactly the meet-irreducibles above `raw`.
-        Cost O(|raw| + #MI above raw)."""
+        above it, and those are exactly the meet-irreducibles above `raw`:
+        the AND of the incidence rows of raw's atoms.  Cost
+        O(|raw| + #MI above raw)."""
         if raw in self._index:
             return raw
-        acc = self.top
-        _require_atoms(raw, acc)
-        for m in self._above(raw):
-            acc &= m
-        return acc
-
-    def _above(self, raw: int) -> list[int]:
-        """The meet-irreducibles containing the atom set `raw`, in family
-        order, read off the incidence rows of raw's atoms."""
+        _require_atoms(raw, self.top)
         if self._atom_rows is None:
             self.meet_irreducibles()
-        mi = self._meet_irreducibles
-        sel = holding(self._atom_rows, raw, len(mi))
-        out = []
-        while sel:
-            low = sel & -sel
-            out.append(mi[low.bit_length() - 1])
-            sel ^= low
-        return out
+        return self._meet_of(holding(self._atom_rows, raw, len(self._mi_found)))
+
+    def _meet_of(self, sel: int) -> int:
+        """The meet of the meet-irreducibles whose found-order indices are
+        the bits of `sel` (top for none)."""
+        acc = self.top
+        for k in iter_atoms(sel):
+            acc &= self._mi_found[k]
+        return acc
+
+    def _above(self, x: int) -> list[int]:
+        """The meet-irreducibles containing the member x, in the order
+        `meet_irreducibles` found them, read off x's signature."""
+        if self._sig is None:
+            self.meet_irreducibles()
+        return [self._mi_found[k] for k in iter_atoms(self._sig[x])]
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << a for a in range(self.atom_count))
@@ -303,25 +335,40 @@ class Lattice:
         it that contain it do not intersect to it.  The pass keeps one
         incidence row per atom p, whose bit k is set when the k-th
         meet-irreducible found holds p, so the ones above x are the AND of
-        the rows of x's atoms.  Cost O(Σ_x (|x| + #MI above x)).  The
-        rows kept for `_above` are renumbered to family order.
+        the rows of x's atoms.  Cost O(Σ_x (|x| + #MI above x)).
+
+        The pass keeps, besides the rows and the meet-irreducibles in the
+        order found, each member's signature: the mask over found-order
+        indices of the meet-irreducibles above it, its own bit included
+        when it is one.  Every meet-irreducible strictly above x has more
+        atoms, so it was found before x, and the mask the pass computes
+        for x is already complete.  The meet of a member's signature is
+        the member, so signatures are distinct, and `join` reads the
+        member back from the inverse dict.
         """
         if self._meet_irreducibles is None:
             top = self.top
             found: list[int] = []
             rows = [0] * self.atom_count
+            sig: dict[int, int] = {}
             for x in sorted(self.closed_sets, key=popcount, reverse=True):
+                above = holding(rows, x, len(found))
                 acc = top
-                for k in iter_atoms(holding(rows, x, len(found))):
+                for k in iter_atoms(above):
                     acc &= found[k]
                 if acc != x:
+                    bit = 1 << len(found)
+                    above |= bit
                     for p in iter_atoms(x):
-                        rows[p] |= 1 << len(found)
+                        rows[p] |= bit
                     found.append(x)
+                sig[x] = above
             keep = set(found)
-            mi = tuple(s for s in self.closed_sets if s in keep)
-            self._meet_irreducibles = mi
-            self._atom_rows = incidence_rows(mi, self.atom_count)
+            self._meet_irreducibles = tuple(s for s in self.closed_sets if s in keep)
+            self._mi_found = tuple(found)
+            self._atom_rows = rows
+            self._sig = sig
+            self._by_sig = {v: k for k, v in sig.items()}
         return self._meet_irreducibles
 
     def is_closure_of(self, seeds: Iterable[int]) -> bool:

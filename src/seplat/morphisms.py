@@ -347,7 +347,8 @@ def enumerate_orthocomplementations(
     complete assignment is extended by meets and kept when it passes
     `validate_ortho`.  Results appear in lexicographic order of the
     assigned coatom indices; `limit` stops the search early, so the
-    result is a prefix of the full list.
+    result is a prefix of the full list.  The search keeps its own stack
+    of frames, one per assigned atom, rather than recursing.
     """
     n = lattice.atom_count
     coatoms = lattice.coatoms()
@@ -356,33 +357,37 @@ def enumerate_orthocomplementations(
         return found
     holds = [mask_of(i for i, c in enumerate(coatoms) if c >> p & 1) for p in range(n)]
     images = [0] * n
-
-    def dfs(p: int, cand: list[int], used: int) -> bool:
-        if p == n:
+    start = [full_mask(n) & ~h for h in holds]
+    # one frame [p, cand, used, free] per assigned depth: free holds the
+    # candidates of atom p not tried yet
+    stack = [[0, start, 0, start[0]]]
+    while stack:
+        frame = stack[-1]
+        p, cand, used, free = frame
+        if not free:
+            stack.pop()
+            continue
+        low = free & -free
+        frame[3] = free ^ low
+        c, now = coatoms[low.bit_length() - 1], used | low
+        nxt = cand[:]
+        for q in range(p + 1, n):
+            nxt[q] &= holds[p] if c >> q & 1 else ~holds[p]
+            if not nxt[q] & ~now:
+                break
+        else:
+            images[p] = c
+            if p + 1 < n:
+                stack.append([p + 1, nxt, now, nxt[p + 1] & ~now])
+                continue
             atom_images = {1 << q: images[q] for q in range(n)}
             candidate = OrthoMap.from_atom_images(lattice, atom_images)
             try:
                 found.append(validate_ortho(lattice, candidate))
             except OrthoViolation:
-                return False
-            return limit is not None and len(found) >= limit
-        free = cand[p] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            c, now = coatoms[low.bit_length() - 1], used | low
-            nxt = cand[:]
-            for q in range(p + 1, n):
-                nxt[q] &= holds[p] if c >> q & 1 else ~holds[p]
-                if not nxt[q] & ~now:
-                    break
-            else:
-                images[p] = c
-                if dfs(p + 1, nxt, now):
-                    return True
-        return False
-
-    dfs(0, [full_mask(n) & ~h for h in holds], 0)
+                continue
+            if limit is not None and len(found) >= limit:
+                break
     return found
 
 

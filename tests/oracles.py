@@ -730,3 +730,76 @@ def lateral_clauses_nested(closed_sets, n1: int, n2: int, blocks1, blocks2):
             if not any(lateral_right(q, p2, 1 - p2) for q in range(n1)):
                 return False, "two-atom right factor lateral clause", p2
     return True, None, None
+
+
+# -- closure-system routines the library replaced --------------------------
+#
+# The library closes one seed at a time, validates by closing the
+# meet-irreducibles, reads joins off meet-irreducible signatures and sorts
+# families by a string key.  These are the routines it used before, kept as
+# references.
+
+
+def close_by_worklist(seeds, universe: int) -> list[int]:
+    """Intersection closure of the seeds and the universe, ascending: each
+    new member is intersected with every seed, new results going back on a
+    work list until none is left."""
+    seeds = set(seeds)
+    found = seeds | {universe}
+    work = list(found)
+    while work:
+        x = work.pop()
+        for s in seeds:
+            z = x & s
+            if z not in found:
+                found.add(z)
+                work.append(z)
+    return sorted(found)
+
+
+def first_violation(closed_sets, n_atoms: int, meet_irreducibles):
+    """(law, witness) of the first closure-system invariant the family
+    (masks in family order) breaks, None if it keeps them all: top, bottom
+    and the singletons are members, then every member against every given
+    meet-irreducible, both in family order, must intersect inside the
+    family.  The laws are named as `Lattice.validate` names them; the
+    witness of the last is the pair of masks."""
+    members = set(closed_sets)
+    top = (1 << n_atoms) - 1
+    if top not in members:
+        return "full atom set is closed", top
+    if 0 not in members:
+        return "empty set is closed", 0
+    for a in range(n_atoms):
+        if 1 << a not in members:
+            return "every singleton is closed", a
+    for x in closed_sets:
+        for m in meet_irreducibles:
+            if x & m not in members:
+                return "family is closed under intersection", (x, m)
+    return None
+
+
+def join_by_closure(lattice, xs) -> int:
+    """Join of members as the closure of their union: the union itself
+    when it is a member, else the meet of the meet-irreducibles holding it
+    (top for none).  KeyError for a non-member."""
+    members = set(lattice.closed_sets)
+    union = 0
+    for x in xs:
+        if x not in members:
+            raise KeyError(x)
+        union |= x
+    if union in members:
+        return union
+    acc = (1 << lattice.atom_count) - 1
+    for m in lattice.meet_irreducibles():
+        if union & ~m == 0:
+            acc &= m
+    return acc
+
+
+def family_key(mask: int) -> tuple[int, ...]:
+    """Canonical family order: the ascending atom tuple of each member,
+    compared lexicographically."""
+    return _atoms(mask)

@@ -40,6 +40,41 @@ def test_dump_is_deterministic(tmp_path, mo2):
     assert Path(a).read_text() == Path(b).read_text()
 
 
+def test_readme_document_is_the_build_output(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Document format", 1)[1].split("```json\n", 1)[1]
+    out = tmp_path / "mo2.json"
+    assert main(["build", "mo", "2", "-o", str(out)]) == 0
+    assert out.read_text() == block.split("```", 1)[0]
+
+
+def test_documents_round_trip_byte_for_byte(tmp_path, mo3, prod22):
+    # dump, load and dump again; also from a document written with indent=2
+    lat, om = mo3
+    first, second, indented = (str(tmp_path / n) for n in ("1.json", "2.json", "i.json"))
+    io.dump_lattice(first, lat, om, meta={"note": "round-trip"})
+    doc = io.load_document(first)
+    io._write_json(second, doc.to_dict())
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+    with open(indented, "w") as fh:
+        json.dump(doc.to_dict(), fh, indent=2, sort_keys=True)
+    assert io.load_lattice_file(indented) == (lat, om)
+    io.dump_product(first, prod22)
+    io._write_json(second, io.load_document(first).to_dict())
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+def test_written_lists_hold_one_item_per_line(tmp_path):
+    path = tmp_path / "found.json"
+    assert main(["build", "mo", "2", "-o", str(tmp_path / "mo2.json")]) == 0
+    assert main(["ortho-search", str(tmp_path / "mo2.json"), "-o", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 5  # MO(2) has three
+    assert [d["meta"]["index"] for d in json.loads(path.read_text())] == [0, 1, 2]
+    io._write_json(str(path), [])
+    assert json.loads(path.read_text()) == []
+
+
 def test_product_roundtrip(tmp_path, mo2, prod22):
     ppath, lpath, rpath = (str(tmp_path / n) for n in ("p.json", "l.json", "r.json"))
     io.dump_product(ppath, prod22)

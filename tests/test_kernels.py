@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seplat import _kernels
+from seplat.bitset import canonical_family, mask_of
 
 import oracles
 
@@ -164,3 +165,38 @@ def test_kernels_handle_wide_universes():
 
 def test_backend_reported():
     assert _kernels.BACKEND == "pure"
+
+
+# -- closure and canonical order against the routines they replaced ---------
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=8),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_closure_matches_the_worklist_oracle(data):
+    n, seeds = data
+    universe = (1 << n) - 1
+    assert _kernels.close_under_intersection(seeds, universe) == oracles.close_by_worklist(
+        seeds, universe
+    )
+
+
+WIDE = 130
+
+wide_masks = st.one_of(
+    st.integers(min_value=0, max_value=(1 << WIDE) - 1),
+    st.sets(st.integers(min_value=0, max_value=WIDE - 1), max_size=6).map(mask_of),
+)
+
+
+@given(st.lists(wide_masks, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_canonical_order_is_the_atom_tuple_order(masks):
+    masks = [*masks, 0, (1 << WIDE) - 1]
+    assert canonical_family(masks) == tuple(sorted(set(masks), key=oracles.family_key))

@@ -377,8 +377,27 @@ def test_indexed_meet_irreducibles_match_the_oracle(data):
     assert as_sets(got) == oracles.intersection_irreducibles(fam)
     if not oracles.missing_intersections(fam):
         assert as_sets(got) == oracles.meet_irreducibles(fam)
+    # the rows index the meet-irreducibles in the order the descending pass
+    # found them
+    found = lat._mi_found
+    assert sorted(found) == sorted(got)
+    assert list(map(popcount, found)) == sorted(map(popcount, found), reverse=True)
     for p in range(n):
-        assert lat._atom_rows[p] == mask_of(k for k, m in enumerate(got) if m >> p & 1)
+        assert lat._atom_rows[p] == mask_of(k for k, m in enumerate(found) if m >> p & 1)
+
+
+@given(raw_families())
+@settings(max_examples=200, deadline=None)
+def test_signatures_mark_the_meet_irreducibles_above(data):
+    # closed or not, a member's signature holds bit k exactly when the k-th
+    # meet-irreducible found holds it, and the inverse dict reads it back
+    n, masks = data
+    lat = Lattice(n, masks)
+    lat.meet_irreducibles()
+    for x in lat:
+        want = mask_of(k for k, m in enumerate(lat._mi_found) if x & ~m == 0)
+        assert lat._sig[x] == want
+        assert lat._by_sig[want] == x
 
 
 @st.composite
@@ -444,6 +463,81 @@ def test_validate_matches_the_pairwise_oracle(data):
     assert exc.value.law == "family is closed under intersection"
     x, y = map(frozenset, exc.value.witness)
     assert x in fam and y in fam and x & y not in fam
+
+
+@given(raw_families(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_the_member_pair_loop(data, rnd):
+    # the same first law as the loop over every member and meet-irreducible,
+    # also with top, bottom or a singleton dropped
+    n, masks = data
+    if rnd.random() < 0.3:
+        dropped = rnd.choice([0, (1 << n) - 1, 1 << rnd.randrange(n)])
+        masks = [m for m in masks if m != dropped]
+    lat = Lattice(n, masks)
+    want = oracles.first_violation(lat.closed_sets, n, lat.meet_irreducibles())
+    if want is None:
+        lat.validate()
+        return
+    with pytest.raises(ValidationError) as exc:
+        lat.validate()
+    assert exc.value.law == want[0]
+
+
+def test_validate_refuses_a_wide_family_without_closing_it():
+    # The meet-irreducibles are the complements of the 64 singletons, whose
+    # closure has 2**64 members; the family holds the complements of the
+    # sets of at most two atoms but of no triple.  Validation never leaves
+    # the family, so it refuses it after a few of its 2 146 members.
+    n = 64
+    top = (1 << n) - 1
+    fam = {0, top, *(1 << a for a in range(n))}
+    fam |= {top & ~(1 << a | 1 << b) for a in range(n) for b in range(a, n)}
+    lat = Lattice(n, fam)
+    with pytest.raises(ValidationError) as exc:
+        lat.validate()
+    assert exc.value.law == "family is closed under intersection"
+    x, y = map(mask_of, exc.value.witness)
+    assert x in fam and y in fam and x & y not in fam
+
+
+# -- joins by signature ------------------------------------------------------
+
+
+@given(complete_lattices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_join_matches_the_closure_oracle(lat, data):
+    xs = data.draw(st.lists(st.sampled_from(lat.closed_sets), max_size=3))
+    assert lat.join(xs) == oracles.join_by_closure(lat, xs)
+
+
+@given(raw_families(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_join_on_unvalidated_families_matches_the_closure_oracle(data, draw):
+    # on a family that is not closed, a union's signature may belong to no
+    # member; the join is then the meet of those meet-irreducibles
+    n, masks = data
+    lat = Lattice(n, masks)
+    xs = draw.draw(st.lists(st.sampled_from(lat.closed_sets), max_size=3))
+    assert lat.join(xs) == oracles.join_by_closure(lat, xs)
+
+
+def test_join_of_a_signature_no_member_has():
+    # {0, 1} = {0, 1, 2} ∩ {0, 1, 3} is left out of a bare Lattice
+    lat = Lattice(4, [0, 1, 2, 4, 8, 0b0111, 0b1011, 0b1111])
+    assert 0b0011 not in lat
+    assert lat.join((0b0001, 0b0010)) == 0b0011
+    assert lat.join((0b0001, 0b0100)) == 0b0111
+
+
+@given(complete_lattices(), st.integers(min_value=-4, max_value=(1 << 9)))
+@settings(max_examples=150, deadline=None)
+def test_join_rejects_non_members(lat, raw):
+    if raw in lat:
+        return
+    for xs in ([raw], [lat.bottom, raw], [raw, lat.top]):
+        with pytest.raises(ForeignElementError):
+            lat.join(xs)
 
 
 @given(complete_lattices())
