@@ -95,7 +95,10 @@ def canonical_family(masks: Iterable[int]) -> tuple[int, ...]:
     of A's, so B comes first both ways.  The empty tuple and the empty
     key come before all others.  Built by `bin` and `str.translate`, the
     key costs no Python loop over the atoms."""
+    distinct = set(masks)
+    if distinct:
+        _require_nonnegative(min(distinct))
     letters = str.maketrans("10", "ab")
     return tuple(
-        sorted(set(masks), key=lambda m: bin(m)[:1:-1].translate(letters) if m else "")
+        sorted(distinct, key=lambda m: bin(m)[:1:-1].translate(letters) if m else "")
     )

@@ -224,6 +224,10 @@ def test_negative_members_are_rejected():
     with pytest.raises(ValidationError) as exc:
         Lattice.from_closed_family(2, [0, 1, 2, 3, -1])
     assert (exc.value.law, exc.value.witness) == ("members use atoms 0..atom_count-1", -1)
+    # the bare constructor, which does not validate, still refuses to sort one
+    with pytest.raises(ValidationError) as exc:
+        Lattice(2, [0, 3, -2])
+    assert (exc.value.law, exc.value.witness) == ("atom masks are nonnegative", -2)
 
 
 # -- covers, atoms, coatoms ---------------------------------------------
