@@ -136,8 +136,8 @@ def dump_product(dest: Union[str, TextIO], product: ProductLattice) -> None:
 
 def _write_json(dest: Union[str, TextIO], payload) -> None:
     """Write a dict one key per line, or a list one item per line, each
-    value on its own line as compact JSON with sorted keys: the layout of
-    the README's document example."""
+    value as compact JSON with sorted keys: the layout of the README's
+    document example."""
     if isinstance(payload, dict):
         brackets = "{}"
         items = [
