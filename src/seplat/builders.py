@@ -42,12 +42,7 @@ def build_mo(n: int) -> tuple[Lattice, OrthoMap]:
         labels += [f"a{k}", f"a{k}'"]
     fam = [0, full_mask(count)] + [1 << a for a in range(count)]
     lat = Lattice(count, fam, atom_labels=labels)
-    top = lat.top
-    images = {0: top, top: 0}
-    for k in range(n):
-        images[1 << (2 * k)] = 1 << (2 * k + 1)
-        images[1 << (2 * k + 1)] = 1 << (2 * k)
-    return lat, OrthoMap(lat, images)
+    return lat, OrthoMap(lat, {1 << a: 1 << (a ^ 1) for a in range(count)})
 
 
 def build_boolean(n: int) -> tuple[Lattice, OrthoMap]:
@@ -59,8 +54,7 @@ def build_boolean(n: int) -> tuple[Lattice, OrthoMap]:
     top = full_mask(n)
     fam = range(1 << n)
     lat = Lattice(n, fam, atom_labels=tuple(f"e{i}" for i in range(n)))
-    images = {s: top & ~s for s in fam}
-    return lat, OrthoMap(lat, images)
+    return lat, OrthoMap(lat, {1 << a: top & ~(1 << a) for a in range(n)})
 
 
 # -- finite fields ------------------------------------------------------

@@ -336,24 +336,45 @@ def enumerate_orthocomplementations(
 
     An orthocomplementation sends distinct atoms p to distinct coatoms
     c_p with p not below c_p and p below c_q iff q below c_p, and every
-    other element to the meet of its atoms' images.  The search assigns
-    the atoms in index order, keeping each atom's candidates as a mask
-    of coatom indices (`Lattice.coatoms` order): holds[p] is the mask of
-    the coatoms holding p, and atom p starts with the coatoms not holding
-    it.  Sending p to c keeps, for every later q, the candidates holding
-    p when q is below c and those not holding p otherwise, so the
-    symmetry constraint is met on assignment; a branch in which some
-    later atom has no unused candidate left is dropped at once.  Each
-    complete assignment is extended by meets and kept when it passes
-    `validate_ortho`.  Results appear in lexicographic order of the
-    assigned coatom indices; `limit` stops the search early, so the
-    result is a prefix of the full list.  The search keeps its own stack
-    of frames, one per assigned atom, rather than recursing.
+    other element to the meet of its atoms' images.  It is an order
+    anti-automorphism, so it also maps the meet-irreducibles onto the
+    join-irreducibles, which are the atoms: unless the lattice has as
+    many coatoms and as many meet-irreducibles as atoms (every
+    meet-irreducible is then a coatom), the result is [].
+
+    The search assigns the atoms in index order, keeping each atom's
+    candidates as a mask of coatom indices (`Lattice.coatoms` order):
+    holds[p] is the mask of the coatoms holding p, and atom p starts with
+    the coatoms not holding it.  Sending p to c keeps, for every later q,
+    the candidates holding p when q is below c and those not holding p
+    otherwise, so the symmetry constraint is met on assignment; a branch
+    in which some later atom has no unused candidate left is dropped at
+    once.  The search keeps its own stack of frames, one per assigned
+    atom, rather than recursing.
+
+    Every complete assignment is an orthocomplementation, so it is kept
+    as its atom table without a further check.  The relation "q below
+    c_p" is symmetric and irreflexive, so its polar map
+    x -> ⋂_{p in x} c_p is an orthocomplementation of the atom sets equal
+    to their double polar, which are the intersections of the c_p with
+    top.  The c_p are n distinct coatoms, so they are all the coatoms,
+    and every meet-irreducible is one of them; as each member is the meet
+    of the meet-irreducibles above it, the family is the closure of the
+    c_p (`Lattice.is_closure_of`), so its members are those atom sets and
+    the meet extension is the polar map.
+
+    Results appear in lexicographic order of the assigned coatom indices;
+    `limit` stops the search early, so the result is a prefix of the full
+    list.
     """
     n = lattice.atom_count
     coatoms = lattice.coatoms()
     found: list[OrthoMap] = []
-    if n == 0 or len(coatoms) != n or (limit is not None and limit <= 0):
+    if (
+        n == 0
+        or not len(coatoms) == n == len(lattice.meet_irreducibles())
+        or (limit is not None and limit <= 0)
+    ):
         return found
     holds = [mask_of(i for i, c in enumerate(coatoms) if c >> p & 1) for p in range(n)]
     images = [0] * n
@@ -380,12 +401,7 @@ def enumerate_orthocomplementations(
             if p + 1 < n:
                 stack.append([p + 1, nxt, now, nxt[p + 1] & ~now])
                 continue
-            atom_images = {1 << q: images[q] for q in range(n)}
-            candidate = OrthoMap.from_atom_images(lattice, atom_images)
-            try:
-                found.append(validate_ortho(lattice, candidate))
-            except OrthoViolation:
-                continue
+            found.append(OrthoMap(lattice, {1 << q: images[q] for q in range(n)}))
             if limit is not None and len(found) >= limit:
                 break
     return found
@@ -598,13 +614,13 @@ def characterize(
             table2[j] = x2
     try:
         induced_left = validate_ortho(
-            left, OrthoMap.from_atom_images(left, {1 << i: table1[i] for i in table1})
+            left, OrthoMap(left, {1 << i: table1[i] for i in table1})
         )
     except OrthoViolation as e:
         raise CharacterizationError("induced-ortho-left", e.law) from e
     try:
         induced_right = validate_ortho(
-            right, OrthoMap.from_atom_images(right, {1 << j: table2[j] for j in table2})
+            right, OrthoMap(right, {1 << j: table2[j] for j in table2})
         )
     except OrthoViolation as e:
         raise CharacterizationError("induced-ortho-right", e.law) from e
@@ -621,9 +637,12 @@ def characterize(
             "route-agreement",
             (len(sharp.base), len(generated.base)),
         )
-    for a in fam_q:
-        if iso[rel.polar_of(a)] != omap(iso[a]):
-            raise CharacterizationError("ortho-transport", atoms_of(a))
+    # The polar map and omap are the meet extensions of their atom tables,
+    # and act is an isomorphism, so they correspond exactly when they do
+    # on the atoms.
+    for p, q in enumerate(atom_map):
+        if act(rel.polars[p]) != omap.table[1 << q]:
+            raise CharacterizationError("ortho-transport", (p,))
     steps.append("sharp-rebuild")
 
     return CharacterizationResult(

@@ -1,7 +1,8 @@
 """Orthocomplementations and atom orthogonality relations.
 
-An orthocomplementation is stored element-wise: a map from every closed
-set to its orthocomplement.  `validate_ortho` is the single gatekeeper:
+An orthocomplementation is stored as its atom table, the orthocomplement
+of each atom; every other element goes to the meet of its atoms' images.
+`validate_ortho` is the single gatekeeper for element maps from outside:
 it checks totality, involution, order reversal and both complement laws,
 naming the first violated law with a witness.
 
@@ -16,23 +17,41 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernels
-from .bitset import atoms_of, full_mask, is_subset, iter_atoms, popcount
+from .bitset import atoms_of, full_mask, is_subset, iter_atoms
 from .errors import OrthoViolation, RelationError
 from .lattice import Lattice
 
 
 class OrthoMap:
-    """Element-wise orthocomplementation of a lattice.
+    """An orthocomplementation of a lattice, held as its atom table.
 
-    Construct via :func:`validate_ortho` (validating) or the bare
-    constructor (trusted data, e.g. the polar map of a closure).
+    `table` maps each atom mask p to the mask of its orthocomplement c_p.
+    Every element goes to the meet of its atoms' images (the bottom to the
+    top); `images` builds that meet extension on first use.  The bare
+    constructor trusts its table; :func:`validate_ortho` checks an element
+    map law by law and returns it in this form.
     """
 
-    __slots__ = ("lattice", "images")
+    __slots__ = ("lattice", "table", "_images")
 
-    def __init__(self, lattice: Lattice, images: Mapping[int, int]):
+    def __init__(self, lattice: Lattice, table: Mapping[int, int]):
         self.lattice = lattice
-        self.images = dict(images)
+        self.table = dict(table)
+        self._images: Optional[dict[int, int]] = None
+
+    @property
+    def images(self) -> dict[int, int]:
+        """Element mask -> orthocomplement mask, for every element."""
+        if self._images is None:
+            top = self.lattice.top
+            images = {}
+            for x in self.lattice.closed_sets:
+                acc = top
+                for a in iter_atoms(x):
+                    acc &= self.table[1 << a]
+                images[x] = acc
+            self._images = images
+        return self._images
 
     def __call__(self, mask: int) -> int:
         self.lattice.require(mask)
@@ -42,49 +61,29 @@ class OrthoMap:
         return (
             isinstance(other, OrthoMap)
             and self.lattice == other.lattice
-            and self.images == other.images
+            and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self.lattice, tuple(sorted(self.images.items()))))
+        return hash((self.lattice, tuple(sorted(self.table.items()))))
 
     def __repr__(self):
         return f"OrthoMap({self.lattice!r})"
-
-    def atom_table(self) -> dict[int, int]:
-        """Atom mask -> orthocomplement mask, for the atoms only."""
-        return {p: self.images[p] for p in self.lattice.atoms()}
-
-    @classmethod
-    def from_atom_images(
-        cls, lattice: Lattice, atom_images: Mapping[int, int]
-    ) -> "OrthoMap":
-        """Extend an atom-level candidate to all elements by meets:
-        the image of x is the intersection of the images of its atoms,
-        and the bottom maps to the top.  Not validated."""
-        images = {}
-        top = lattice.top
-        for x in lattice.closed_sets:
-            acc = top
-            for a in iter_atoms(x):
-                acc &= atom_images[1 << a]
-            images[x] = acc
-        return cls(lattice, images)
 
 
 def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
     """Check a candidate orthocomplementation and return it as an OrthoMap.
 
-    `candidate` is a mapping from element masks to element masks (an
-    OrthoMap is accepted).  Raises OrthoViolation naming the first violated
-    law: totality, involution, order-reversal, complement-meet,
-    complement-join.
+    `candidate` is a mapping from element masks to element masks, or an
+    OrthoMap.  Raises OrthoViolation naming the first violated law:
+    totality, involution, order-reversal, complement-meet, complement-join.
 
     A candidate passing the first three laws is an order anti-automorphism,
     which makes the two complement laws equivalent (apply the map to
     x v x' = top).  The join law is still checked so that every stated law
     is verified directly rather than by appeal to that argument.
     """
+    own = isinstance(candidate, OrthoMap) and candidate.lattice == lattice
     images = candidate.images if isinstance(candidate, OrthoMap) else dict(candidate)
     fam = lattice.closed_sets
     for x in fam:
@@ -103,10 +102,11 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
     # An involution of an atomistic lattice reverses order exactly when
     # x' = ⋀_{p ≤ x} p' for every x: the meet is antitone in x, and an
     # order anti-automorphism sends the join of x's atoms to the meet of
-    # their images.  Only a failed comparison, which guarantees a violating
+    # their images.  An OrthoMap of this lattice is that meet extension
+    # already.  Only a failed comparison, which guarantees a violating
     # pair, pays for the pair loop that finds the witness.
-    meets = OrthoMap.from_atom_images(lattice, images).images
-    if any(images[x] != meets[x] for x in fam):
+    omap = candidate if own else OrthoMap(lattice, {p: images[p] for p in lattice.atoms()})
+    if not own and any(images[x] != omap.images[x] for x in fam):
         for x in fam:
             ix = images[x]
             for y in fam:
@@ -119,7 +119,7 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
     for x in fam:
         if lattice.join((x, images[x])) != top:
             raise OrthoViolation("complement-join", atoms_of(x))
-    return OrthoMap(lattice, images)
+    return omap
 
 
 def atom_perp(ortho: OrthoMap, p: int, q: int) -> bool:
@@ -227,5 +227,4 @@ def closure_from_orthogonality(
     lat = Lattice.from_closed_family(
         atom_count, family, mode="validate", atom_labels=atom_labels
     )
-    images = {s: relation.polar_of(s) for s in lat.closed_sets}
-    return lat, OrthoMap(lat, images)
+    return lat, OrthoMap(lat, {1 << p: c for p, c in enumerate(relation.polars)})

@@ -460,6 +460,47 @@ def test_ortho_search_counts_the_mo3_square(mo3):
     assert len(seplat.enumerate_orthocomplementations(lat)) == 225
 
 
+def test_ortho_search_counts_mo3_by_mo4(mo3):
+    # 48 atoms, and #Ortho(MO(3)) · #Ortho(MO(4)) = 15 · 105 maps
+    lat = _general_product(mo3[0], seplat.build_mo(4)[0])
+    assert len(seplat.enumerate_orthocomplementations(lat)) == 1575
+
+
+def test_ortho_search_counts_b3_by_mo2(mo2, b3):
+    # B(3) is not weakly connected, and the product has 27 maps, not
+    # #Ortho(B(3)) · #Ortho(MO(2)) = 3 (see ORTHO_OUTCOMES)
+    lat = _general_product(b3[0], mo2[0])
+    assert len(seplat.enumerate_orthocomplementations(lat)) == 27
+
+
+def test_ortho_search_skips_lattices_with_more_meet_irreducibles(prod22):
+    # The pair {0, 1} lies under a coatom; adding it leaves the 16 coatoms
+    # and adds a 17th meet-irreducible.  The search would reach 9 complete
+    # assignments here, none of them an orthocomplementation.
+    lat = Lattice.from_closed_family(
+        16, list(prod22.base.closed_sets) + [0b11], mode="validate"
+    )
+    assert len(lat) == 115
+    assert lat.coatoms() == prod22.base.coatoms()
+    assert len(lat.meet_irreducibles()) == 17
+    assert not lat.is_coatomistic()
+    assert seplat.enumerate_orthocomplementations(lat) == []
+    assert oracles.ortho_search_by_index(lat.closed_sets, lat.atom_count) == []
+
+
+@given(complete_lattices(max_atoms=6))
+@example(seplat.build_mo(2)[0])
+@example(seplat.build_boolean(3)[0])
+@settings(max_examples=150, deadline=None)
+def test_ortho_search_matches_the_oracle_on_random_lattices(lat):
+    # every map the search returns, unchecked, passes the law-by-law check
+    found = seplat.enumerate_orthocomplementations(lat)
+    tables = [tuple(om.table[1 << p] for p in range(lat.atom_count)) for om in found]
+    assert tables == oracles.ortho_search_by_index(lat.closed_sets, lat.atom_count)
+    for om in found:
+        seplat.validate_ortho(lat, dict(om.images))
+
+
 def test_every_ortho_of_the_mixed_product_characterizes(mo2, mo3):
     prod = seplat.aerts_product_general(mo2[0], mo3[0])
     found = seplat.enumerate_orthocomplementations(prod.base)
@@ -678,7 +719,7 @@ def test_characterize_reports_a_polar_map_that_is_not_the_ortho(monkeypatch, pro
     monkeypatch.setattr(seplat.morphisms, "sharp_relation", swapped)
     with pytest.raises(CharacterizationError) as exc:
         seplat.characterize(prod22, check_hypotheses=False)
-    assert exc.value.step == "ortho-transport"
+    assert (exc.value.step, exc.value.witness) == ("ortho-transport", (0,))
 
 
 def test_characterize_skips_hypotheses_on_request(prod22, aut_mo2):

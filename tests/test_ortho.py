@@ -96,8 +96,69 @@ def test_complement_join_holds_on_all_valid_orthos(mo2, mo3, b3):
 
 def test_from_atom_images_reconstructs(mo3):
     lat, om = mo3
-    rebuilt = OrthoMap.from_atom_images(lat, om.atom_table())
+    rebuilt = OrthoMap(lat, om.table)
     assert all(rebuilt(x) == om(x) for x in lat)
+
+
+def _symmetric_tables(lat, rnd):
+    """The atom tables p -> c_p with c_p a member, p not in c_p, and q in
+    c_p iff p in c_q, in a random order."""
+    n = lat.atom_count
+    members = list(lat.closed_sets)
+    table = [0] * n
+
+    def extend(p):
+        if p == n:
+            yield {1 << q: table[q] for q in range(n)}
+            return
+        # bits 0..p of c_p are fixed: q < p by symmetry, p by irreflexivity
+        fixed = mask_of(q for q in range(p) if table[q] >> p & 1)
+        cands = [c for c in members if c & ((2 << p) - 1) == fixed]
+        rnd.shuffle(cands)
+        for table[p] in cands:
+            yield from extend(p + 1)
+
+    return extend(0)
+
+
+@st.composite
+def small_lattices(draw):
+    """Random intersection-closed families of up to 6 atoms, MO(1..3) and
+    B(1..4)."""
+    kind = draw(st.sampled_from(["random", "mo", "boolean"]))
+    if kind == "mo":
+        return seplat.build_mo(draw(st.integers(min_value=1, max_value=3)))[0]
+    if kind == "boolean":
+        return seplat.build_boolean(draw(st.integers(min_value=1, max_value=4)))[0]
+    n = draw(st.integers(min_value=1, max_value=6))
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    return Lattice.from_closed_family(n, seeds, mode="complete")
+
+
+def _accepts(lat, images):
+    try:
+        seplat.validate_ortho(lat, images)
+    except OrthoViolation:
+        return False
+    return True
+
+
+@given(small_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_meet_extension_is_an_ortho_exactly_when_the_table_closes(lat, rnd):
+    # A symmetric, irreflexive table of members extends by meets to an
+    # orthocomplementation exactly when its values close to the family.
+    for table in itertools.islice(_symmetric_tables(lat, rnd), 40):
+        images = dict(OrthoMap(lat, table).images)
+        assert _accepts(lat, images) == lat.is_closure_of(table.values())
+
+
+def test_symmetric_tables_of_mo2(mo2):
+    # the 10 partial matchings of 4 atoms; the 3 perfect ones close
+    lat = mo2[0]
+    tables = list(_symmetric_tables(lat, random.Random(0)))
+    verdicts = [_accepts(lat, dict(OrthoMap(lat, t).images)) for t in tables]
+    assert (len(tables), sum(verdicts)) == (10, 3)
 
 
 def test_atom_perp(mo2):
