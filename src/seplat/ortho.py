@@ -75,8 +75,9 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
     """Check a candidate orthocomplementation and return it as an OrthoMap.
 
     `candidate` is a mapping from element masks to element masks, or an
-    OrthoMap.  Raises OrthoViolation naming the first violated law:
-    totality, involution, order-reversal, complement-meet, complement-join.
+    OrthoMap, which is returned itself when it belongs to this lattice.
+    Raises OrthoViolation naming the first violated law: totality,
+    involution, order-reversal, complement-meet, complement-join.
 
     A candidate passing the first three laws is an order anti-automorphism,
     which makes the two complement laws equivalent (apply the map to

@@ -115,7 +115,8 @@ def _symmetric_tables(lat, rnd):
         fixed = mask_of(q for q in range(p) if table[q] >> p & 1)
         cands = [c for c in members if c & ((2 << p) - 1) == fixed]
         rnd.shuffle(cands)
-        for table[p] in cands:
+        for c in cands:
+            table[p] = c
             yield from extend(p + 1)
 
     return extend(0)
@@ -149,6 +150,7 @@ def test_meet_extension_is_an_ortho_exactly_when_the_table_closes(lat, rnd):
     # A symmetric, irreflexive table of members extends by meets to an
     # orthocomplementation exactly when its values close to the family.
     for table in itertools.islice(_symmetric_tables(lat, rnd), 40):
+        # passed as an element map, so every law is checked
         images = dict(OrthoMap(lat, table).images)
         assert _accepts(lat, images) == lat.is_closure_of(table.values())
 
