@@ -336,6 +336,14 @@ def check_sproduct(
         (associativity), so the random draws can never change it.
     P1: the embedded meet of two factor atoms is an atom of the base.
     P2: that atom lies under h1(a1) v h2(a2) iff p1 <= a1 or p2 <= a2.
+        When every embedded atom meet of (p1, p2) is the pair atom
+        p1·n2 + p2, the checks of one pair (a1, a2) all pass exactly when
+        the pair atoms under h1(a1) v h2(a2) are the cross
+        A(a1) x A(L2) u A(L1) x A(a2), so one mask comparison per pair
+        (a1, a2) decides them; `checked` then counts the checks
+        certified, n1·n2·|L1|·|L2|.  Otherwise every check is evaluated,
+        atom pair by atom pair, so the failures and their witnesses are
+        those of the per-atom loop.
     P3: laterally connected with respect to the coverings.
     P4: every pair (u1, u2) from t1 x t2 induces an atom permutation
         (p1, p2) -> (u1 p1, u2 p2) of the base that preserves the closed
@@ -376,19 +384,31 @@ def check_sproduct(
     rep.reports["P1"] = p1
 
     p2 = CheckReport("P2")
+    n1, n2 = left.atom_count, right.atom_count
     join_cache = {}
     for a1 in left.closed_sets:
         for a2 in right.closed_sets:
             join_cache[(a1, a2)] = base.join((product.h1[a1], product.h2[a2]))
-    for i in range(left.atom_count):
-        for j in range(right.atom_count):
-            atom = otimes(product, 1 << i, 1 << j)
-            for a1 in left.closed_sets:
-                below1 = is_subset(1 << i, a1)
-                for a2 in right.closed_sets:
-                    want = below1 or is_subset(1 << j, a2)
-                    got = is_subset(atom, join_cache[(a1, a2)])
-                    p2.record(got == want, lambda: (i, j, atoms_of(a1), atoms_of(a2)))
+    pairs = full_mask(n1 * n2)
+    certified = all(
+        otimes(product, 1 << i, 1 << j) == 1 << (i * n2 + j)
+        for i in range(n1)
+        for j in range(n2)
+    ) and all(
+        join & pairs == product.cross(a1, a2) for (a1, a2), join in join_cache.items()
+    )
+    if certified:
+        p2.checked = n1 * n2 * len(join_cache)
+    else:
+        for i in range(n1):
+            for j in range(n2):
+                atom = otimes(product, 1 << i, 1 << j)
+                for a1 in left.closed_sets:
+                    below1 = is_subset(1 << i, a1)
+                    for a2 in right.closed_sets:
+                        want = below1 or is_subset(1 << j, a2)
+                        got = is_subset(atom, join_cache[(a1, a2)])
+                        p2.record(got == want, lambda: (i, j, atoms_of(a1), atoms_of(a2)))
     rep.reports["P2"] = p2
 
     p3 = CheckReport("P3")
@@ -397,7 +417,6 @@ def check_sproduct(
     rep.reports["P3"] = p3
 
     p4 = CheckReport("P4")
-    n1, n2 = left.atom_count, right.atom_count
     fam = base.meet_irreducibles()
     beyond = base.atom_count > n1 * n2
 
@@ -610,6 +629,11 @@ def classify_invariant_subsets(
 
     The subsets R are the blocks of `group` (see `_blocks`); an
     intransitive group above `SWEEP_ATOM_CAP` atoms raises SizeCapError.
+    The cap stays because an intransitive group can have exponentially
+    many blocks (the trivial group makes every nonempty subset one), so
+    the sweep over all 2^n subsets is the general case.  This is the only
+    caller that can reach the cap: `strongly_transitive` rejects an
+    intransitive group on atom transitivity before it asks for blocks.
     `mode` accepts only "exact".
     """
     if mode != "exact":

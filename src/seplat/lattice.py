@@ -352,15 +352,25 @@ class Lattice:
             rows = [0] * self.atom_count
             sig: dict[int, int] = {}
             for x in sorted(self.closed_sets, key=popcount, reverse=True):
-                above = holding(rows, x, len(found))
-                acc = top
-                for k in iter_atoms(above):
-                    acc &= found[k]
+                above = (1 << len(found)) - 1
+                rest = x
+                while rest and above:
+                    low = rest & -rest
+                    above &= rows[low.bit_length() - 1]
+                    rest ^= low
+                acc, rest = top, above
+                while rest:
+                    low = rest & -rest
+                    acc &= found[low.bit_length() - 1]
+                    rest ^= low
                 if acc != x:
                     bit = 1 << len(found)
                     above |= bit
-                    for p in iter_atoms(x):
-                        rows[p] |= bit
+                    rest = x
+                    while rest:
+                        low = rest & -rest
+                        rows[low.bit_length() - 1] |= bit
+                        rest ^= low
                     found.append(x)
                 sig[x] = above
             keep = set(found)

@@ -4,10 +4,11 @@ orthocomplementation search, and the product characterization.
 The characterization follows the constructive argument: coatom pairs of
 the factors give, through the orthocomplement of their embedded join,
 atoms of the base; those atoms are in bijection with the pair atoms of a
-freshly generated product, the induced map is verified to be an order
-isomorphism in both directions, and the orthocomplement table of the base
-is decomposed into factor orthocomplementations which are then validated
-directly.
+generated product of the factors, and the induced atom map is verified
+to be an order isomorphism on the generating crosses and the base's
+meet-irreducibles alone, without building that product; the
+orthocomplement table of the base is decomposed into factor
+orthocomplementations which are then validated directly.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .axioms import (
 )
 from .bitset import (
     atoms_of,
+    canonical_family,
     full_mask,
     holding,
     incidence_rows,
     is_subset,
-    iter_atoms,
     mask_of,
     popcount,
 )
@@ -43,7 +44,8 @@ from .ortho import OrthoMap, validate_ortho
 from .perm import Automorphism, AutoGroup
 from .product import (
     ProductLattice,
-    aerts_product_general,
+    _cross,
+    _generator_seeds,
     aerts_product_sharp,
     otimes,
     sharp_relation,
@@ -436,20 +438,103 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
     return out[0] if out else None
 
 
+def _iso_atom_map(
+    left: Lattice, right: Lattice, base: Lattice, join_p: dict[tuple[int, int], int]
+) -> tuple[int, ...]:
+    """The order-isomorphism step of `characterize`: return the atom map
+    p -> the base atom of iso(1 << p), or raise CharacterizationError when
+    iso is not an order isomorphism from the generated product of `left`
+    and `right` onto `base`.
+
+    `join_p` maps each coatom pair x = (x1, x2) to a member of `base`, the
+    embedded join h1(x1) v h2(x2).  The generated family G is the closure
+    of the seeds S, the crosses of MI(L1) u {top} with MI(L2) u {top}
+    (see `aerts_product_general`), and the join of the embedded x1 and x2
+    in G is cross(x) = A(x1) x A(L2) u A(L1) x A(x2), which is a seed, as
+    coatoms are meet-irreducible.  So iso(a) = ⋂{join_p[x] : a ⊆ cross(x)}
+    is read off the incidence rows of the cross(x), with no product built,
+    and is evaluated only on the pair atoms and on S.  With act the mask
+    action of the atom map, the steps are:
+
+    1. each iso(1 << p) is one atom ("iso-order", witness ((p,), atoms));
+    2. the base has n1·n2 atoms and the atom map is injective
+       ("iso-bijective", witness (n1·n2, base atom count, distinct
+       images));
+    3. iso(s) = act(s) for every s in S, in family order ("iso-order",
+       witness (atoms of s, atoms of iso(s)));
+    4. `base.is_closure_of(act(S))` ("iso-bijective", witness the atoms of
+       the first meet-irreducible of the base that is no act(s)).
+
+    They hold exactly when iso maps G bijectively onto the base and equals
+    act on all of G, which makes it an order isomorphism (a bijection
+    between atomistic lattices that is the mask action of an atom
+    bijection keeps and reflects inclusion).
+
+    ⇒: act is injective on masks and keeps intersections and top (2), so
+    it maps G = closure(S) onto closure(act(S)), the base (4).  Take a in
+    G; it is the meet of the seeds above it.  iso is monotone, as fewer
+    crosses hold a larger set, so iso(a) ⊆ ⋂_{s ⊇ a} iso(s) =
+    ⋂_{s ⊇ a} act(s) = act(a) by 3.  For each x with a ⊆ cross(x),
+    act(a) ⊆ act(cross(x)) = iso(cross(x)) ⊆ join_p[x], so act(a) ⊆ iso(a).
+    ⇐: an order isomorphism of atomistic lattices sends atoms to atoms, so
+    1 holds and the atom map is injective; the base top is iso(a) = act(a)
+    for some a, so the base has no other atoms (2); 3 holds as S ⊆ G; and
+    act(closure(S)) = closure(act(S)) is the base (4).
+
+    After step 3 every act(s) = iso(s) is a meet of members, so step 4
+    can only fail on a meet-irreducible that no act(s) reaches.
+    """
+    n1, n2 = left.atom_count, right.atom_count
+    rows = incidence_rows([_cross(left, right, x1, x2) for x1, x2 in join_p], n1 * n2)
+    joins = list(join_p.values())
+    top = base.top
+
+    def iso(sel: int) -> int:
+        acc = top
+        while sel:
+            low = sel & -sel
+            acc &= joins[low.bit_length() - 1]
+            sel ^= low
+        return acc
+
+    atom_map = []
+    for p, row in enumerate(rows):
+        img = iso(row)
+        if popcount(img) != 1:
+            raise CharacterizationError("iso-order", ((p,), atoms_of(img)))
+        atom_map.append(img.bit_length() - 1)
+    if base.atom_count != n1 * n2 or len(set(atom_map)) != n1 * n2:
+        raise CharacterizationError(
+            "iso-bijective", (n1 * n2, base.atom_count, len(set(atom_map)))
+        )
+    act = _kernels._mask_action(atom_map)
+    width = len(joins)
+    seeds = canonical_family(_generator_seeds(left, right))
+    for s in seeds:
+        img = iso(holding(rows, s, width))
+        if img != act(s):
+            raise CharacterizationError("iso-order", (atoms_of(s), atoms_of(img)))
+    images = set(map(act, seeds))
+    if not base.is_closure_of(images):
+        missing = next(m for m in base.meet_irreducibles() if m not in images)
+        raise CharacterizationError("iso-bijective", atoms_of(missing))
+    return tuple(atom_map)
+
+
 @dataclass
 class CharacterizationResult:
     """Successful characterization of an orthocomplemented product.
 
-    `generated` is the freshly built generator-route product of the
-    factors, `iso` the order isomorphism from its base onto the input
-    base, `delta` the coatom-pair-to-atom bijection that induced it, and
+    `atom_map` sends each pair atom p of the generated product of the
+    factors to the base atom atom_map[p]; its mask action is the order
+    isomorphism from the generated family onto the input base.  `delta` is
+    the coatom-pair-to-atom bijection that induced it, and
     `induced_left`/`induced_right` the validated factor
     orthocomplementations read off the orthocomplement table.
     """
 
     product: ProductLattice
-    generated: ProductLattice
-    iso: dict[int, int]
+    atom_map: tuple[int, ...]
     delta: dict[tuple[int, int], int]
     induced_left: OrthoMap
     induced_right: OrthoMap
@@ -541,42 +626,8 @@ def characterize(
         )
     steps.append("delta-bijection")
 
-    generated = aerts_product_general(left, right)
-    # iso(a) is the meet of the join_p[x] whose join_q[x] holds a, read
-    # off the incidence rows of the join_q over a's atoms.
-    join_q = [
-        generated.base.join((generated.h1[x1], generated.h2[x2]))
-        for x1, x2 in xi_pairs
-    ]
-    rows = incidence_rows(join_q, generated.base.atom_count)
-    iso: dict[int, int] = {}
-    for a in generated.base.closed_sets:
-        acc = base.top
-        for k in iter_atoms(holding(rows, a, len(xi_pairs))):
-            acc &= join_p[xi_pairs[k]]
-        iso[a] = acc
-    if len(set(iso.values())) != len(generated.base) or len(generated.base) != len(
-        base
-    ):
-        raise CharacterizationError(
-            "iso-bijective", (len(generated.base), len(base), len(set(iso.values())))
-        )
-    # Both lattices are atomistic, so an order isomorphism sends atoms to
-    # atoms and each element to the element holding the images of its
-    # atoms: iso is one exactly when every atom goes to a single atom and
-    # iso equals the mask action of that atom map on every element (such a
-    # bijection keeps and reflects inclusion).
-    fam_q = generated.base.closed_sets
-    atom_map = []
-    for p in range(generated.base.atom_count):
-        img = iso[1 << p]
-        if popcount(img) != 1:
-            raise CharacterizationError("iso-order", ((p,), atoms_of(img)))
-        atom_map.append(img.bit_length() - 1)
+    atom_map = _iso_atom_map(left, right, base, join_p)
     act = _kernels._mask_action(atom_map)
-    for a in fam_q:
-        if iso[a] != act(a):
-            raise CharacterizationError("iso-order", (atoms_of(a), atoms_of(iso[a])))
     steps.append("order-isomorphism")
 
     n1, n2 = left.atom_count, right.atom_count
@@ -627,16 +678,16 @@ def characterize(
     steps.append("induced-orthocomplementations")
 
     # The sharp family is the intersection closure of the polars P of the
-    # sharp relation, plus top; `is_closure_of` compares it with the
-    # generated family G on P and MI(G) instead of rebuilding it.  Only a
-    # failure pays for the sharp product, to report its size.
+    # sharp relation, plus top.  act is an isomorphism from the generated
+    # family onto the base that keeps intersections and top, so the two
+    # families agree exactly when the closure of act(P) is the base, which
+    # `is_closure_of` decides on act(P) and MI(base).  Only a failure pays
+    # for the sharp product, to report its size; the base has as many
+    # members as the generated family.
     rel = sharp_relation(left, induced_left, right, induced_right)
-    if not generated.base.is_closure_of(rel.polars):
+    if not base.is_closure_of(map(act, rel.polars)):
         sharp = aerts_product_sharp(left, induced_left, right, induced_right)
-        raise CharacterizationError(
-            "route-agreement",
-            (len(sharp.base), len(generated.base)),
-        )
+        raise CharacterizationError("route-agreement", (len(sharp.base), len(base)))
     # The polar map and omap are the meet extensions of their atom tables,
     # and act is an isomorphism, so they correspond exactly when they do
     # on the atoms.
@@ -647,8 +698,7 @@ def characterize(
 
     return CharacterizationResult(
         product=product,
-        generated=generated,
-        iso=iso,
+        atom_map=atom_map,
         delta={
             (x1, x2): d for (x1, x2), d in delta.items()
         },

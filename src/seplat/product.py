@@ -126,6 +126,17 @@ def _attach_embeddings(prod: ProductLattice) -> None:
         prod.h2[a2] = prod.base.require(prod.rect(prod.left.top, a2))
 
 
+def _generator_seeds(left: Lattice, right: Lattice) -> set[int]:
+    """The crosses cross(m1, m2) for m1 in MI(L1) u {top} and m2 in
+    MI(L2) u {top}, which close under intersection to the generated
+    family (see `aerts_product_general`)."""
+    return {
+        _cross(left, right, m1, m2)
+        for m1 in left.meet_irreducibles() + (left.top,)
+        for m2 in right.meet_irreducibles() + (right.top,)
+    }
+
+
 def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
     """Generator route: close the crosses A(a1) x A(L2) u A(L1) x A(a2)
     over all element pairs (a1, a2) under pairwise intersection.
@@ -144,11 +155,7 @@ def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
     reached by the closure.
     """
     n = left.atom_count * right.atom_count
-    seeds = {
-        _cross(left, right, m1, m2)
-        for m1 in left.meet_irreducibles() + (left.top,)
-        for m2 in right.meet_irreducibles() + (right.top,)
-    }
+    seeds = _generator_seeds(left, right)
     family = _kernels.close_under_intersection(sorted(seeds), full_mask(n))
     base = Lattice.from_closed_family(
         n, family, mode="validate", atom_labels=_pair_labels(left, right)
@@ -271,17 +278,13 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
     for i in range(n1):
         for j in range(n2):
             for k in range(j + 1, n2):
-                got = base.join(
-                    (product.singleton(i, j), product.singleton(i, k))
-                )
+                got = base.join((1 << (i * n2 + j), 1 << (i * n2 + k)))
                 want = product.rect(1 << i, right.join(((1 << j), (1 << k))))
                 report.record(got == want, lambda: ("right", i, j, k, atoms_of(got)))
     for j in range(n2):
         for i in range(n1):
             for k in range(i + 1, n1):
-                got = base.join(
-                    (product.singleton(i, j), product.singleton(k, j))
-                )
+                got = base.join((1 << (i * n2 + j), 1 << (k * n2 + j)))
                 want = product.rect(left.join(((1 << i), (1 << k))), 1 << j)
                 report.record(got == want, lambda: ("left", j, i, k, atoms_of(got)))
 
@@ -314,15 +317,14 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
             if i == k:
                 continue
             for j in range(n2):
+                p = 1 << (i * n2 + j)
                 for l in range(n2):
                     if j == l:
                         continue
-                    got = base.join(
-                        (product.singleton(i, j), product.singleton(k, l))
-                    )
-                    want = product.singleton(i, j) | product.singleton(k, l)
+                    q = 1 << (k * n2 + l)
+                    got = base.join((p, q))
                     report.record(
-                        got == want,
+                        got == p | q,
                         lambda: ("two-atoms", (i, j), (k, l), atoms_of(got)),
                     )
     for i in range(n1):
@@ -330,13 +332,13 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
             if not is_subset(1 << i, a1):
                 continue
             for j in range(n2):
+                column = product.rect(a1, 1 << j)
                 for a2 in right.closed_sets:
                     if not is_subset(1 << j, a2):
                         continue
-                    lhs = base.join(
-                        (product.rect(1 << i, a2), product.rect(a1, 1 << j))
-                    )
-                    rhs = product.rect(1 << i, a2) | product.rect(a1, 1 << j)
+                    row = a2 << (i * n2)  # the pair atoms {i} x A(a2)
+                    lhs = base.join((row, column))
+                    rhs = row | column
                     report.record(
                         lhs == rhs,
                         lambda: ("atom-sets", i, atoms_of(a1), j, atoms_of(a2)),

@@ -803,3 +803,89 @@ def family_key(mask: int) -> tuple[int, ...]:
     """Canonical family order: the ascending atom tuple of each member,
     compared lexicographically."""
     return _atoms(mask)
+
+
+# -- characterization and P2, element by element ------------------------------
+
+
+def _rect_of(left_atoms: int, right_atoms: int, n2: int) -> int:
+    return sum(1 << (p1 * n2 + p2) for p1 in _atoms(left_atoms) for p2 in _atoms(right_atoms))
+
+
+def iso_by_elements(left, right, base, join_p):
+    """The order-isomorphism step of the characterization on every member
+    of the generated product.  `join_p` maps coatom pairs (x1, x2) of the
+    factors to members of `base`.  The generated family G is built from
+    every cross (`all_cross_closure`); the join of the embedded x1 and x2
+    in it is their cross, so iso(a) is the meet of the join_p[x] whose
+    cross holds a.  In order: iso is a bijection of G onto the base
+    ("iso-bijective", (|G|, |base|, distinct images)), each pair atom goes
+    to one atom ("iso-order", ((p,), its image's atoms)), and iso is the
+    mask action of that atom map on every member of G in family order
+    ("iso-order", (member's atoms, image's atoms)).  Returns ("ok", atom
+    map) or (step, witness)."""
+    n1, n2 = left.atom_count, right.atom_count
+    top1, top2 = (1 << n1) - 1, (1 << n2) - 1
+    generated = all_cross_closure(left.closed_sets, n1, right.closed_sets, n2)
+    crosses = {
+        x: _rect_of(x[0], top2, n2) | _rect_of(top1, x[1], n2) for x in join_p
+    }
+    base_top = (1 << base.atom_count) - 1
+    iso = {}
+    for a in generated:
+        acc = base_top
+        for x, cross in crosses.items():
+            if a & ~cross == 0:
+                acc &= join_p[x]
+        iso[a] = acc
+    images = set(iso.values())
+    if len(images) != len(generated) or len(generated) != len(base.closed_sets):
+        return "iso-bijective", (len(generated), len(base.closed_sets), len(images))
+    atom_map = []
+    for p in range(n1 * n2):
+        img = iso[1 << p]
+        if _popcount(img) != 1:
+            return "iso-order", ((p,), _atoms(img))
+        atom_map.append(img.bit_length() - 1)
+    for a in sorted(generated, key=family_key):
+        if iso[a] != _image(atom_map, a):
+            return "iso-order", (_atoms(a), _atoms(iso[a]))
+    return "ok", tuple(atom_map)
+
+
+def p2_per_atom(product):
+    """(checked, failures) of axiom P2 by evaluating every atom pair
+    (i, j) against every element pair (a1, a2), in that nesting: the
+    embedded meet h1(i) ^ h2(j) must lie under h1(a1) v h2(a2), the
+    smallest base member above their union, iff i is in a1 or j is in a2;
+    a failure records (i, j, atoms of a1, atoms of a2)."""
+    left, right, h1, h2 = product.left, product.right, product.h1, product.h2
+    members = product.base.closed_sets
+    joins = {}
+    for a1 in left.closed_sets:
+        for a2 in right.closed_sets:
+            union = h1[a1] | h2[a2]
+            joins[a1, a2] = min((s for s in members if union & ~s == 0), key=_popcount)
+    checked, failures = 0, []
+    for i in range(left.atom_count):
+        for j in range(right.atom_count):
+            atom = h1[1 << i] & h2[1 << j]
+            for a1 in left.closed_sets:
+                for a2 in right.closed_sets:
+                    want = bool(a1 >> i & 1 or a2 >> j & 1)
+                    checked += 1
+                    if (atom & ~joins[a1, a2] == 0) != want:
+                        failures.append((i, j, _atoms(a1), _atoms(a2)))
+    return checked, failures
+
+
+def first_unseparated(polars):
+    """The first pair (p, q), p != q in lexicographic order, whose polars
+    satisfy polars[p] ⊆ polars[q], or None: every atom orthogonal to p is
+    orthogonal to q, so no atom separates them."""
+    n = len(polars)
+    for p in range(n):
+        for q in range(n):
+            if p != q and polars[p] & ~polars[q] == 0:
+                return p, q
+    return None

@@ -1,10 +1,13 @@
 """Connectivity conditions, product axioms, transitivity, invariant subsets."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seplat
 from seplat import Covering, Lattice
@@ -245,6 +248,50 @@ def test_sproduct_axiom_failure_is_reported(prod22, aut_mo2):
     assert not rep.passed
     assert not rep.reports["P4"].passed
     assert any("FAIL" in line for line in rep.lines())
+
+
+@functools.cache
+def _p2_instance(n2):
+    (l, o1), (r, o2) = seplat.build_mo(2), seplat.build_mo(n2)
+    return seplat.aerts_product_sharp(l, o1, r, o2)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_p2_matches_the_per_atom_oracle_on_corrupted_embeddings(data):
+    # Random base members replace up to two embedded elements per side: a
+    # replaced atom image breaks the pair atoms, another replaced element
+    # only its joins, and no replacement leaves the product passing.
+    prod = _p2_instance(data.draw(st.sampled_from((1, 2))))
+    members = prod.base.closed_sets
+    h1, h2 = dict(prod.h1), dict(prod.h2)
+    for h in (h1, h2):
+        for key in data.draw(st.lists(st.sampled_from(sorted(h)), max_size=2)):
+            h[key] = data.draw(st.sampled_from(members))
+    bad = dataclasses.replace(prod, h1=h1, h2=h2)
+    ident = AutoGroup.identity_only(prod.left), AutoGroup.identity_only(prod.right)
+    p2 = seplat.check_sproduct(bad, *ident).reports["P2"]
+    assert (p2.checked, p2.failures) == oracles.p2_per_atom(bad)
+
+
+def test_p2_checks_every_atom_when_an_atom_meet_holds_another_atom():
+    # The base is MO(2)xMO(1) times the two-element lattice on atom 8, and
+    # atom 8 is added to h1 and h2 of the first atoms: every join still
+    # has the cross as its pair atoms, but the meet of those two atoms'
+    # images is no pair atom, so P2 is decided atom by atom.
+    prod = _p2_instance(1)
+    extra = 1 << 8
+    family = [m | e for m in prod.base.closed_sets for e in (0, extra)]
+    h1, h2 = dict(prod.h1), dict(prod.h2)
+    h1[1] |= extra
+    h2[1] |= extra
+    bad = dataclasses.replace(
+        prod, base=Lattice.from_closed_family(9, family), h1=h1, h2=h2
+    )
+    ident = AutoGroup.identity_only(prod.left), AutoGroup.identity_only(prod.right)
+    p2 = seplat.check_sproduct(bad, *ident).reports["P2"]
+    assert p2.failures
+    assert (p2.checked, p2.failures) == oracles.p2_per_atom(bad)
 
 
 def _first_witness_by_kind(failures, kind):

@@ -1,6 +1,7 @@
 """Automorphisms, factorization, orthocomplementation search,
 order isomorphism, and the product characterization."""
 
+import functools
 import itertools
 import math
 import random
@@ -572,9 +573,9 @@ def test_characterize_recovers_the_mo_square(prod22, aut_mo2, mo2):
     ]
     assert res.induced_left == mo2[1]
     assert res.induced_right == mo2[1]
-    # the regenerated product has the same base, so the isomorphism is the
-    # identity on every element
-    assert all(res.iso[a] == a for a in res.generated.base.closed_sets)
+    # the sharp base is the generated family itself, so the isomorphism is
+    # the identity on the atoms
+    assert res.atom_map == tuple(range(16))
     # delta pairs every coatom pair with the atom of the orthogonal pair
     perp = oracles.mo_perp(2)
     for (x1, x2), atom in res.delta.items():
@@ -587,7 +588,98 @@ def test_characterize_recovers_the_mixed_product(prod23, aut_mo2, aut_mo3, mo2, 
     res = seplat.characterize(prod23, aut1=aut_mo2, aut2=aut_mo3)
     assert res.induced_left == mo2[1]
     assert res.induced_right == mo3[1]
-    assert len(set(res.iso.values())) == 240
+    # the atom map carries a freshly generated family onto the base
+    act = _kernels._mask_action(res.atom_map)
+    generated = seplat.aerts_product_general(mo2[0], mo3[0]).base
+    assert {act(a) for a in generated} == set(prod23.base.closed_sets)
+    assert len(prod23.base) == 240
+
+
+@functools.cache
+def _iso_instance(n2):
+    """Sharp MO(2)xMO(n2) and its true join table on the coatom pairs."""
+    (l, o1), (r, o2) = seplat.build_mo(2), seplat.build_mo(n2)
+    prod = seplat.aerts_product_sharp(l, o1, r, o2)
+    true = {
+        (x1, x2): prod.base.join((prod.h1[x1], prod.h2[x2]))
+        for x1 in l.coatoms()
+        for x2 in r.coatoms()
+    }
+    return l, r, prod.base, true
+
+
+def _iso_outcome(left, right, base, join_p):
+    try:
+        return "ok", seplat.morphisms._iso_atom_map(left, right, base, join_p)
+    except CharacterizationError as e:
+        return e.step, e.witness
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_iso_step_matches_the_element_wise_oracle(data):
+    # Tables of four kinds: the true one, the true one moved by a random
+    # base automorphism (a pair map of factor atom permutations, every one
+    # of which keeps MO(n), swapped or not on a square), both of which
+    # pass; random members, which mostly fail on an atom image; and the
+    # true one with entries enlarged by joining other true entries, which
+    # keeps the atom images and mostly fails on a cross.  A failing table
+    # may fail at another iso step than the oracle's.
+    n2 = data.draw(st.sampled_from((2, 3)))
+    left, right, base, true = _iso_instance(n2)
+    kind = data.draw(st.sampled_from(("true", "moved", "random", "enlarged")))
+    if kind == "random":
+        join_p = {x: data.draw(st.sampled_from(base.closed_sets)) for x in true}
+    elif kind == "enlarged":
+        join_p = dict(true)
+        keys = sorted(true)
+        for x in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+            join_p[x] = base.join((join_p[x], true[data.draw(st.sampled_from(keys))]))
+    else:
+        n1, m2 = left.atom_count, right.atom_count
+        perm = list(range(n1 * m2))
+        if kind == "moved":
+            s1 = data.draw(st.permutations(range(n1)))
+            s2 = data.draw(st.permutations(range(m2)))
+            swap = n1 == m2 and data.draw(st.booleans())
+            perm = [
+                s2[j] * m2 + s1[i] if swap else s1[i] * m2 + s2[j]
+                for i in range(n1)
+                for j in range(m2)
+            ]
+        assert _kernels.family_preserved(perm, base.meet_irreducibles(), base.atom_count)
+        act = _kernels._mask_action(perm)
+        join_p = {x: act(j) for x, j in true.items()}
+    want = oracles.iso_by_elements(left, right, base, join_p)
+    got = _iso_outcome(left, right, base, join_p)
+    assert (got[0] == "ok") == (want[0] == "ok")
+    if want[0] == "ok":
+        assert got == want
+    assert kind not in ("true", "moved") or got[0] == "ok"
+
+
+def test_iso_step_rejects_a_base_beyond_the_generated_family():
+    # The true table of a base holding the generated family and more: one
+    # extra atom fails on the atom count, one extra member on the closure.
+    left, right, base, true = _iso_instance(2)
+    extra_atom = Lattice.from_closed_family(
+        17, list(base.closed_sets) + [1 << 16, full_mask(17)]
+    )
+    extra_member = Lattice.from_closed_family(16, list(base.closed_sets) + [0b11])
+    for bigger, witness in ((extra_atom, (16, 17, 16)), (extra_member, (0, 1))):
+        assert oracles.iso_by_elements(left, right, bigger, true)[0] == "iso-bijective"
+        assert _iso_outcome(left, right, bigger, true) == ("iso-bijective", witness)
+
+
+def test_a_passing_characterize_builds_no_generated_product(monkeypatch, prod23):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product family was built")
+
+    monkeypatch.setattr(seplat.product, "aerts_product_general", refuse)
+    monkeypatch.setattr(seplat, "aerts_product_general", refuse)
+    monkeypatch.setattr(seplat._kernels, "close_under_intersection", refuse)
+    res = seplat.characterize(prod23, check_hypotheses=False)
+    assert res.steps[-1] == "sharp-rebuild"
 
 
 def test_characterize_every_searched_ortho(prod22, aut_mo2):
