@@ -28,16 +28,19 @@ def close_under_intersection(seeds: Iterable[int], universe: int) -> list[int]:
     `universe`.  Returns the members in ascending int order (callers
     re-sort into canonical family order).
 
-    Seeds are added one at a time.  Let C be the closure of the universe
-    and the seeds added so far, and s the next seed.  Every member of the
-    closure with s added is an intersection of some of these sets, so it
-    is c or s ∩ c for some c in C, and C ∪ {s ∩ c : c ∈ C} is closed
-    under intersection, as (s ∩ c) ∩ c' = s ∩ (c ∩ c').  That union is
+    Seeds are added one at a time, in the caller's order and at their
+    first occurrence; the result does not depend on that order, only the
+    cost does.  Let C be the closure of the universe and the seeds added
+    so far, and s the next seed.  Every member of the closure with s
+    added is an intersection of some of these sets, so it is c or s ∩ c
+    for some c in C, and C ∪ {s ∩ c : c ∈ C} is closed under
+    intersection, as (s ∩ c) ∩ c' = s ∩ (c ∩ c').  That union is
     therefore the new closure; it holds s = s ∩ universe, and a seed that
-    is already a member changes nothing.  Cost O(members · seeds) ANDs,
-    each pass one `map` over the members found so far."""
+    is already a member changes nothing and costs one lookup.  Cost
+    O(members · seeds) ANDs, each pass one `map` over the members found
+    so far."""
     found = {universe}
-    for s in set(seeds):
+    for s in dict.fromkeys(seeds):
         if s not in found:
             found |= set(map(s.__and__, found))
     return sorted(found)

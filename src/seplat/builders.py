@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _kernels
 from .bitset import full_mask, mask_of
 from .errors import SizeCapError, ValidationError
 from .lattice import Lattice
@@ -25,14 +24,18 @@ BOOLEAN_CAP = 10
 
 
 def build_two() -> Lattice:
-    """The two-element lattice 0 < 1 (one atom, which is the top)."""
-    return Lattice(1, (0, 1), atom_labels=("a",))
+    """The two-element lattice 0 < 1 (one atom, which is the top): the
+    closure of no generators, as bottom and the one singleton are all
+    that complete mode adds to top."""
+    return Lattice.from_closed_family(1, (), mode="complete", atom_labels=("a",))
 
 
 def build_mo(n: int) -> tuple[Lattice, OrthoMap]:
     """MO(n): bottom, 2n atoms, top; atom 2k is orthogonal to atom 2k+1.
 
-    MO(1) is the Boolean square.  Raises on n < 1.
+    The family is the closure of no generators: complete mode adds top,
+    bottom and the singletons, and the intersection of two of those is
+    one of them.  MO(1) is the Boolean square.  Raises on n < 1.
     """
     if n < 1:
         raise ValidationError("MO(n) requires n >= 1", n)
@@ -40,20 +43,26 @@ def build_mo(n: int) -> tuple[Lattice, OrthoMap]:
     labels = []
     for k in range(n):
         labels += [f"a{k}", f"a{k}'"]
-    fam = [0, full_mask(count)] + [1 << a for a in range(count)]
-    lat = Lattice(count, fam, atom_labels=labels)
+    lat = Lattice.from_closed_family(count, (), mode="complete", atom_labels=labels)
     return lat, OrthoMap(lat, {1 << a: 1 << (a ^ 1) for a in range(count)})
 
 
 def build_boolean(n: int) -> tuple[Lattice, OrthoMap]:
-    """Boolean lattice of all subsets of n atoms, with set complement."""
+    """Boolean lattice of all subsets of n atoms, with set complement.
+
+    The family is the closure of the coatoms: every subset is the
+    intersection of the coatoms missing one of its complement's atoms, so
+    the singletons and bottom that complete mode adds are members
+    already."""
     if n < 0:
         raise ValidationError("boolean lattice needs n >= 0", n)
     if n > BOOLEAN_CAP:
         raise SizeCapError(f"boolean lattice on {n} atoms exceeds cap {BOOLEAN_CAP}")
     top = full_mask(n)
-    fam = range(1 << n)
-    lat = Lattice(n, fam, atom_labels=tuple(f"e{i}" for i in range(n)))
+    coatoms = [top & ~(1 << a) for a in range(n)]
+    lat = Lattice.from_closed_family(
+        n, coatoms, mode="complete", atom_labels=tuple(f"e{i}" for i in range(n))
+    )
     return lat, OrthoMap(lat, {1 << a: top & ~(1 << a) for a in range(n)})
 
 
@@ -103,8 +112,12 @@ def build_subspace_lattice(q: int, d: int) -> Lattice:
     Supports q in {2,3,4,5} and d <= 4.  Every subspace is the
     intersection of the hyperplanes a·v = 0 that hold it, and the
     normalized points a index those hyperplanes, so the family is the
-    intersection closure of the hyperplanes' point sets.  GF(5)^4 (156
-    points) builds in about 0.1 s on a 2-vCPU x86-64 machine.
+    intersection closure of the hyperplanes' point sets, which
+    `Lattice.from_closed_family` takes in complete mode.  The bottom and
+    points that mode adds are in that closure already: a point is the
+    meet of the hyperplanes through it (top, the empty meet, when d = 1),
+    and bottom the meet of all of them.  GF(5)^4 (156 points) builds in
+    about 0.1 s on a 2-vCPU x86-64 machine.
     """
     if d < 1 or d > 4:
         raise ValidationError("supported dimensions are 1..4", d)
@@ -115,9 +128,10 @@ def build_subspace_lattice(q: int, d: int) -> Lattice:
     hyperplanes = [
         mask_of(i for i, v in enumerate(points) if field.dot(a, v) == 0) for a in points
     ]
-    family = _kernels.close_under_intersection(hyperplanes, full_mask(len(points)))
     labels = tuple("".join(str(c) for c in p) for p in points)
-    return Lattice.from_closed_family(len(points), family, mode="validate", atom_labels=labels)
+    return Lattice.from_closed_family(
+        len(points), hyperplanes, mode="complete", atom_labels=labels
+    )
 
 
 @dataclass(frozen=True)

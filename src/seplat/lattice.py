@@ -90,8 +90,20 @@ class Lattice:
         mode="validate" requires the family to already satisfy every
         invariant (top, bottom and all singletons present, closed under
         pairwise intersection) and raises ValidationError naming the first
-        violated invariant otherwise.  mode="complete" adds the missing
-        sets and closes under intersection.
+        violated invariant otherwise; it is for families from outside.
+
+        mode="complete" treats `sets` as generators: it closes them, with
+        bottom and the singletons appended after them, under intersection
+        in one kernel call.  This is how every lattice seplat constructs
+        is built.  The result meets every law `validate` checks, so it is
+        not checked again: the kernel's closure is closed under
+        intersection and holds top, and bottom and the singletons are
+        seeds.  Whether the appended sets were already in the closure of
+        the generators alone is the caller's own mathematics, which its
+        docstring states.  The singletons go last, so once the closure
+        of the generators holds them, as it does for every construction
+        here that has generators, each costs one lookup rather than a pass
+        over the members.
         """
         if atom_count < 0:
             raise ValidationError("atom count is nonnegative", atom_count)
@@ -104,10 +116,8 @@ class Lattice:
         for m in masks:
             _require_atoms(m, top)
         if mode == "complete":
-            seeds = set(masks)
-            seeds.add(0)
-            seeds.update(1 << a for a in range(atom_count))
-            masks = _kernels.close_under_intersection(sorted(seeds), top)
+            seeds = [*masks, 0, *(1 << a for a in range(atom_count))]
+            masks = _kernels.close_under_intersection(seeds, top)
             return cls(atom_count, masks, atom_labels)
         lat = cls(atom_count, masks, atom_labels)
         lat.validate()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import _kernels
 from .bitset import atoms_of, full_mask, is_subset, iter_atoms
 from .errors import OrthoViolation, RelationError
 from .lattice import Lattice
@@ -191,8 +190,9 @@ class AtomOrthogonality:
         return acc
 
     def validate(self) -> None:
-        """Raise RelationError on the first violation of symmetry,
-        anti-reflexivity or separation.
+        """Raise RelationError on the first polar holding an atom outside
+        0..atom_count-1 (a negative mask included), then on the first
+        violation of symmetry, anti-reflexivity or separation.
 
         Separation fails at (p, q), q != p, when polars[p] ⊆ polars[q].
         Once the relation is symmetric, the atoms q with polars[p] ⊆
@@ -201,6 +201,9 @@ class AtomOrthogonality:
         its polar rather than one comparison per atom; the first witness
         (p, q), in lexicographic order, is that of the all-pairs scan."""
         n = self.atom_count
+        for p in range(n):
+            if self.polars[p] >> n:  # also -1 for a negative polar
+                raise RelationError("polars hold atoms 0..atom_count-1", (p,))
         for p in range(n):
             if self.polars[p] >> p & 1:
                 raise RelationError("anti-reflexivity", (p,))
@@ -224,17 +227,18 @@ def closure_from_orthogonality(
     """Biorthogonal closure of a valid atom orthogonality.
 
     The closed sets are exactly the polars of arbitrary atom subsets: the
-    full set (polar of nothing), the atom polars, and their intersections.
-    Separation makes every singleton closed, and the polar map restricted
-    to the closed sets is an orthocomplementation.
+    full set (polar of nothing), the atom polars, and their intersections,
+    so the atom polars go to `Lattice.from_closed_family` in complete
+    mode.  The bottom and singletons that mode appends are closed sets
+    already: separation makes every singleton {p} the intersection of the
+    polars of the atoms in polars[p], and bottom is the polar of all
+    atoms.  The polar map restricted to the closed sets is an
+    orthocomplementation.
     """
     if relation.atom_count != atom_count:
         raise RelationError("relation matches atom count", relation.atom_count)
     relation.validate()
-    top = full_mask(atom_count)
-    seeds = list(relation.polars)
-    family = _kernels.close_under_intersection(seeds, top)
     lat = Lattice.from_closed_family(
-        atom_count, family, mode="validate", atom_labels=atom_labels
+        atom_count, relation.polars, mode="complete", atom_labels=atom_labels
     )
     return lat, OrthoMap(lat, {1 << p: c for p, c in enumerate(relation.polars)})

@@ -16,8 +16,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import _kernels
-from .bitset import atoms_of, full_mask, is_subset, iter_atoms
+from .bitset import atoms_of, is_subset, iter_atoms
 from .errors import ValidationError
 from .lattice import Lattice
 from .ortho import AtomOrthogonality, OrthoMap, closure_from_orthogonality
@@ -141,8 +140,13 @@ def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
     """Generator route: close the crosses A(a1) x A(L2) u A(L1) x A(a2)
     over all element pairs (a1, a2) under pairwise intersection.
 
-    Works for arbitrary factors; every singleton pair atom is closed
-    (it is the intersection of its row and its column).
+    Works for arbitrary factors.  The seeds go to
+    `Lattice.from_closed_family` in complete mode, whose closure is the
+    base, not validated again.  The bottom and singletons that mode
+    appends are in the closure of the seeds already, which holds the
+    cross of every element pair (below): bottom is cross(bottom, bottom),
+    the empty set, and the singleton (p1, p2) is the intersection of its
+    row cross(p1, bottom) and its column cross(bottom, p2).
 
     Only the crosses of m1 in MI(L1) u {top} and m2 in MI(L2) u {top} are
     seeded, which closes to the same family.  Every element is top or
@@ -154,11 +158,11 @@ def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
     intersection of the cross(m_k, n_l), and every other cross is
     reached by the closure.
     """
-    n = left.atom_count * right.atom_count
-    seeds = _generator_seeds(left, right)
-    family = _kernels.close_under_intersection(sorted(seeds), full_mask(n))
     base = Lattice.from_closed_family(
-        n, family, mode="validate", atom_labels=_pair_labels(left, right)
+        left.atom_count * right.atom_count,
+        _generator_seeds(left, right),
+        mode="complete",
+        atom_labels=_pair_labels(left, right),
     )
     prod = ProductLattice(
         base=base, left=left, right=right, h1={}, h2={}, route="generators"
@@ -192,7 +196,9 @@ def aerts_product_sharp(
     right: Lattice,
     ortho2: OrthoMap,
 ) -> ProductLattice:
-    """Orthogonality route: biorthogonal closure of the sharp relation.
+    """Orthogonality route: biorthogonal closure of the sharp relation,
+    which `closure_from_orthogonality` builds from the atom polars in one
+    complete-mode call, as the generator route builds from its crosses.
     The resulting product carries the polar orthocomplementation."""
     n = left.atom_count * right.atom_count
     rel = sharp_relation(left, ortho1, right, ortho2)

@@ -889,3 +889,24 @@ def first_unseparated(polars):
             if p != q and polars[p] & ~polars[q] == 0:
                 return p, q
     return None
+
+
+# -- lattices from generators, in two steps ---------------------------------
+#
+# The constructions used to close their generators and then hand the
+# family to `from_closed_family` in validate mode, which checked the
+# closure once more.  Complete mode replaced that.  (The families the
+# MO(n) and Boolean builders listed by hand are `mo_family` and
+# `boolean_family` above.)
+
+
+def close_then_validate(lattice_cls, atom_count: int, seeds, atom_labels=None):
+    """The two-step build: close the seeds and the universe under
+    intersection (here by `close_by_worklist`), then build the lattice
+    with `lattice_cls.from_closed_family(..., mode="validate")`, which
+    raises unless the family holds bottom and every singleton."""
+    family = close_by_worklist(seeds, (1 << atom_count) - 1)
+    return lattice_cls.from_closed_family(
+        atom_count, family, mode="validate", atom_labels=atom_labels
+    )
+

@@ -281,6 +281,21 @@ def test_asymmetric_polars_rejected():
         rel.validate()
 
 
+@pytest.mark.parametrize(
+    "polars,witness",
+    [([0b100, 0], (0,)), ([0b10, 0b101], (1,)), ([-1, 0], (0,)), ([0b10, -2], (1,))],
+)
+def test_polars_outside_the_atoms_rejected(polars, witness):
+    # A polar with an atom at or above atom_count, or a negative one, is
+    # refused by name before the symmetry loop reads polars[q].
+    rel = AtomOrthogonality(2, polars)
+    for check in (rel.validate, lambda: closure_from_orthogonality(2, rel)):
+        with pytest.raises(RelationError) as exc:
+            check()
+        assert exc.value.law == "polars hold atoms 0..atom_count-1"
+        assert exc.value.witness == witness
+
+
 def test_b2_from_single_pair():
     lat, om = closure_from_orthogonality(2, AtomOrthogonality.from_pairs(2, [(0, 1)]))
     assert len(lat) == 4
