@@ -17,7 +17,7 @@ first permutations.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 BACKEND = "pure"
 
@@ -77,11 +77,13 @@ def invariant_subsets(perms: Sequence[Sequence[int]], n_atoms: int) -> list[int]
     return list(survivors)
 
 
-def family_preserved(perm: Sequence[int], family: Sequence[int], n_atoms: int) -> bool:
-    """True iff the atom permutation maps every member of `family` to a
-    member of `family`.  Members hold atoms below `n_atoms`; any other
-    atom maps to nothing."""
+def family_preserved(perm: Sequence[int], family: Iterable[int], target: Container[int]) -> bool:
+    """True iff the atom map sends every mask of `family` into `target`.
+
+    This is the one atom-map check: with `family` the meet-irreducibles of
+    a lattice L and `target` a lattice M, a bijection of atoms passes
+    exactly when it carries L into M (see `Lattice.meet_irreducibles`), so
+    onto M when both have as many members; with M = L it is an
+    automorphism test."""
     act = _mask_action(perm)
-    full = (1 << n_atoms) - 1
-    members = set(family)
-    return all(act(mask & full) in members for mask in family)
+    return all(act(mask) in target for mask in family)

@@ -347,19 +347,19 @@ def check_sproduct(
     P3: laterally connected with respect to the coverings.
     P4: every pair (u1, u2) from t1 x t2 induces an atom permutation
         (p1, p2) -> (u1 p1, u2 p2) of the base that preserves the closed
-        family, checked on the base's meet-irreducibles, which the
-        permutation must map into themselves (equivalent; see
-        `Lattice.meet_irreducibles`).  Only the pairs (g, id) and (id, g)
-        are evaluated, for g a strong generator of t1 or t2: when the pair
-        maps permute every base atom, those that pass are automorphisms
-        of the base, which form a group, and every pair is a product of
-        them, so every pair passes.  `checked` counts the pairs certified,
-        |t1|·|t2|, not the maps evaluated.  When the base has other atoms
-        than the pairs, or a generator pair fails, every pair of members
-        is evaluated in lexicographic order, so the failures and their
-        witnesses are those of the all-pairs loop; a base with atoms
-        beyond the pairs fails every pair, as its top holds an atom no
-        pair map reaches.
+        family, checked by `_kernels.family_preserved` on the base's
+        meet-irreducibles, which the permutation must map into the base
+        (equivalent; see `Lattice.meet_irreducibles`).  Only the pairs
+        (g, id) and (id, g) are evaluated, for g a strong generator of t1
+        or t2: when the pair maps permute every base atom, those that
+        pass are automorphisms of the base, which form a group, and every
+        pair is a product of them, so every pair passes.  `checked`
+        counts the pairs certified, |t1|·|t2|, not the maps evaluated.
+        When the base has other atoms than the pairs, or a generator pair
+        fails, every pair of members is evaluated in lexicographic order,
+        so the failures and their witnesses are those of the all-pairs
+        loop; a base with atoms beyond the pairs fails every pair, as its
+        top holds an atom no pair map reaches.
     P5: the atoms of the base are exactly the embedded atom meets.
     """
     base, left, right = product.base, product.left, product.right
@@ -375,26 +375,23 @@ def check_sproduct(
     _check_embedding_morphism(p0, base, right, product.h2, "h2", right_pool)
     rep.reports["P0"] = p0
 
+    # the embedded atom meets, pair (i, j) at index i * n2 + j
+    n1, n2 = left.atom_count, right.atom_count
+    meets = [otimes(product, 1 << i, 1 << j) for i in range(n1) for j in range(n2)]
+
     p1 = CheckReport("P1")
     atom_set = set(base.atoms())
-    for i in range(left.atom_count):
-        for j in range(right.atom_count):
-            m = otimes(product, 1 << i, 1 << j)
-            p1.record(m in atom_set, lambda: (i, j, atoms_of(m)))
+    for k, m in enumerate(meets):
+        p1.record(m in atom_set, lambda: (*divmod(k, n2), atoms_of(m)))
     rep.reports["P1"] = p1
 
     p2 = CheckReport("P2")
-    n1, n2 = left.atom_count, right.atom_count
     join_cache = {}
     for a1 in left.closed_sets:
         for a2 in right.closed_sets:
             join_cache[(a1, a2)] = base.join((product.h1[a1], product.h2[a2]))
     pairs = full_mask(n1 * n2)
-    certified = all(
-        otimes(product, 1 << i, 1 << j) == 1 << (i * n2 + j)
-        for i in range(n1)
-        for j in range(n2)
-    ) and all(
+    certified = all(m == 1 << k for k, m in enumerate(meets)) and all(
         join & pairs == product.cross(a1, a2) for (a1, a2), join in join_cache.items()
     )
     if certified:
@@ -402,7 +399,7 @@ def check_sproduct(
     else:
         for i in range(n1):
             for j in range(n2):
-                atom = otimes(product, 1 << i, 1 << j)
+                atom = meets[i * n2 + j]
                 for a1 in left.closed_sets:
                     below1 = is_subset(1 << i, a1)
                     for a2 in right.closed_sets:
@@ -417,13 +414,13 @@ def check_sproduct(
     rep.reports["P3"] = p3
 
     p4 = CheckReport("P4")
-    fam = base.meet_irreducibles()
+    mi = base.meet_irreducibles()
     beyond = base.atom_count > n1 * n2
 
     def preserved(u1: tuple[int, ...], u2: tuple[int, ...]) -> bool:
         if beyond:
             return False
-        return _kernels.family_preserved(_pair_perm(u1, u2), fam, base.atom_count)
+        return _kernels.family_preserved(_pair_perm(u1, u2), mi, base)
 
     id1, id2 = tuple(range(n1)), tuple(range(n2))
     certified = (
@@ -441,11 +438,7 @@ def check_sproduct(
     rep.reports["P4"] = p4
 
     p5 = CheckReport("P5")
-    embedded = {
-        otimes(product, 1 << i, 1 << j)
-        for i in range(left.atom_count)
-        for j in range(right.atom_count)
-    }
+    embedded = set(meets)
     p5.record(embedded == atom_set, sorted(atoms_of(m) for m in atom_set - embedded))
     rep.reports["P5"] = p5
     return rep

@@ -69,13 +69,19 @@ class LatticeDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeDocument":
-        """Read a document, requiring every atom and element index to be a
-        JSON integer: a float or a numeric string is not an index."""
+        """Read a document, requiring `atoms` to be a JSON list of string
+        labels and every atom and element index to be a JSON integer: a
+        float or a numeric string is not an index."""
         try:
-            atoms = list(data["atoms"])
+            atoms = data["atoms"]
             closed = [list(s) for s in data["closed_sets"]]
         except (KeyError, TypeError) as e:
             raise ValidationError("document has atoms and closed_sets", str(e)) from e
+        if not isinstance(atoms, list):
+            raise ValidationError("atoms is a list of strings", atoms)
+        for label in atoms:
+            if type(label) is not str:
+                raise ValidationError("atoms is a list of strings", label)
         for s in closed:
             if not all(type(a) is int and 0 <= a < len(atoms) for a in s):
                 raise ValidationError("members use atoms 0..atom_count-1", tuple(s))

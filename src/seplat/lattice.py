@@ -9,6 +9,7 @@ which makes the lattice atomistic with the singletons as its atoms.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from . import _kernels
@@ -272,53 +273,49 @@ class Lattice:
             acc &= self._mi_found[k]
         return acc
 
-    def _above(self, x: int) -> list[int]:
-        """The meet-irreducibles containing the member x, in the order
-        `meet_irreducibles` found them, read off x's signature."""
-        if self._sig is None:
-            self.meet_irreducibles()
-        return [self._mi_found[k] for k in iter_atoms(self._sig[x])]
-
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << a for a in range(self.atom_count))
 
     def coatoms(self) -> tuple[int, ...]:
         """Maximal proper elements, in family order.
 
-        These are the maximal meet-irreducibles: a coatom's only strict
-        superset is top, and every other proper element lies below some
-        coatom.  So they are the meet-irreducibles m with no other
-        meet-irreducible above m."""
-        return tuple(m for m in self.meet_irreducibles() if self._above(m) == [m])
+        These are the meet-irreducibles whose signature (see
+        `meet_irreducibles`) is their own bit alone.  A coatom is
+        meet-irreducible, and no other meet-irreducible lies above it, as
+        its only strict superset is top.  Conversely, a member z with
+        m ⊊ z ⊊ top is the meet of the meet-irreducibles above it, at
+        least one, and each lies strictly above m."""
+        mi = self.meet_irreducibles()
+        sig = self._sig
+        return tuple(m for m in mi if popcount(sig[m]) == 1)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs (x, y) with y covering x, in family order: by x,
         then by y's popcount, then by y's family index.
 
-        The upper covers of x are the minimal members among the closures
-        of x | p for the atoms p outside x: every member above x holds
-        such a closure, so a member strictly between x and a minimal one
-        cannot exist.  closure(x | p) is the meet of the meet-irreducibles
-        above x that hold p, so one pass over the meet-irreducibles above
-        x finds all of them (top for an atom outside every such m).
-        Cost O(|x| + Σ |m − x|) per member x, over the m above x."""
+        Read off the signatures of `meet_irreducibles`: x is a lower
+        cover of the member y exactly when x ≠ y and
+        #{m ∈ MI : y ∩ m = x} = |sig(x)| − |sig(y)|.  For x < y the m with
+        y ∩ m = x lie in sig(x) − sig(y) (m ⊇ x, m ⊉ y), and sig(y) ⊆
+        sig(x).  If y covers x, every m of sig(x) − sig(y) has
+        x ⊆ y ∩ m ⊊ y, so y ∩ m = x and the count is the difference.  If
+        some z lies strictly between, signatures are distinct, so sig(z) −
+        sig(y) holds some m, and y ∩ m ⊇ z ≠ x for that m of sig(x) −
+        sig(y): the count falls short.  Every lower cover x is some y ∩ m,
+        as sig(x) − sig(y) is nonempty.  So each y costs one AND per
+        meet-irreducible and a count of the results.  The members y are
+        visited by popcount, then family index, and appended to a bucket
+        per x, which gives the order above."""
         if self._covers is None:
-            top, index = self.top, self._index
-            out = []
-            for x in self.closed_sets:
-                acc: dict[int, int] = {}
-                for m in self._above(x):
-                    for p in iter_atoms(m & ~x):
-                        acc[p] = acc.get(p, top) & m
-                candidates = set(acc.values())
-                if len(acc) < popcount(top & ~x):
-                    candidates.add(top)
-                minimal: list[int] = []
-                for y in sorted(candidates, key=lambda y: (popcount(y), index[y])):
-                    if not any(is_subset(z, y) for z in minimal):
-                        minimal.append(y)
-                out.extend((x, y) for y in minimal)
-            self._covers = tuple(out)
+            self.meet_irreducibles()
+            sig, found = self._sig, self._mi_found
+            below: dict[int, list[int]] = {x: [] for x in self.closed_sets}
+            for y in sorted(self.closed_sets, key=popcount):
+                rank = popcount(sig[y])
+                for x, count in Counter(map(y.__and__, found)).items():
+                    if x != y and count == popcount(sig[x]) - rank:
+                        below[x].append(y)
+            self._covers = tuple((x, y) for x, ups in below.items() for y in ups)
         return self._covers
 
     def meet_irreducibles(self) -> tuple[int, ...]:

@@ -199,12 +199,12 @@ def enumerate_automorphisms(lattice: Lattice) -> AutoGroup:
     members fixing 0..k−1, so the group order is the product of the
     transversal sizes; members are listed by iterating the group."""
     n = lattice.atom_count
-    fam = lattice.meet_irreducibles()
+    mi = lattice.meet_irreducibles()
     maps = _AtomMaps(lattice, lattice)
     found: list[tuple[int, ...]] = []
 
     def leaf(perm: tuple[int, ...]) -> bool:
-        if _kernels.family_preserved(perm, fam, n):
+        if _kernels.family_preserved(perm, mi, lattice):
             found.append(perm)
             return True
         return False
@@ -319,16 +319,9 @@ def factor_automorphism(
             (right_map, right, left, "right map is an isomorphism onto the left factor"),
         )
     for amap, src, dst, step in checks:
-        if not _maps_meet_irreducibles_into(amap, src, dst):
+        if not _kernels.family_preserved(amap, src.meet_irreducibles(), dst):
             raise FactorizationError(step, amap)
     return FactorizationResult(side, left_map, right_map)
-
-
-def _maps_meet_irreducibles_into(amap: tuple[int, ...], src: Lattice, dst: Lattice) -> bool:
-    """True iff the atom map sends every meet-irreducible of `src` to a
-    member of `dst`."""
-    act = _kernels._mask_action(amap)
-    return all(act(s) in dst for s in src.meet_irreducibles())
 
 
 def enumerate_orthocomplementations(
@@ -429,7 +422,7 @@ def isomorphic(a: Lattice, b: Lattice) -> Optional[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def leaf(perm: tuple[int, ...]) -> bool:
-        if not _maps_meet_irreducibles_into(perm, a, b):
+        if not _kernels.family_preserved(perm, a.meet_irreducibles(), b):
             return False
         out.append(perm)
         return True

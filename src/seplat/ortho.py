@@ -166,8 +166,13 @@ class AtomOrthogonality:
 
     @classmethod
     def from_pairs(cls, atom_count: int, pairs: Iterable[tuple[int, int]]):
+        """The relation holding exactly the given pairs, each in both
+        directions; RelationError, witness (p, q), for a pair whose
+        indices are not both ints in 0..atom_count-1."""
         polars = [0] * atom_count
         for p, q in pairs:
+            if not all(type(a) is int and 0 <= a < atom_count for a in (p, q)):
+                raise RelationError("pairs use atoms 0..atom_count-1", (p, q))
             polars[p] |= 1 << q
             polars[q] |= 1 << p
         return cls(atom_count, polars)

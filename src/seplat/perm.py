@@ -61,13 +61,11 @@ class Automorphism:
 
     def preserves(self, lattice: Lattice) -> bool:
         """True iff the induced mask action carries the closed family onto
-        itself, checked on its meet-irreducibles (see
-        `Lattice.meet_irreducibles`)."""
+        itself, that is, maps its meet-irreducibles into the lattice
+        (`_kernels.family_preserved`; see `Lattice.meet_irreducibles`)."""
         if len(self.perm) != lattice.atom_count:
             return False
-        return _kernels.family_preserved(
-            self.perm, lattice.meet_irreducibles(), lattice.atom_count
-        )
+        return _kernels.family_preserved(self.perm, lattice.meet_irreducibles(), lattice)
 
 
 def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,26 @@ def test_cli_rejects_negative_covering_atoms(docs, capsys):
         assert "blocks use atoms of the lattice" in err and "Traceback" not in err
 
 
+def test_cli_rejects_covering_atoms_past_the_lattice_before_building_a_mask(docs, capsys):
+    # An index at or above the atom count is refused before it becomes a
+    # mask: atom 10**8 would otherwise allocate a 12 MB int.
+    for argv in (
+        ["check", docs["mo2"], "--weakly-connected", "--covering=0,4"],
+        ["sproduct-check", docs["prod"], docs["mo2"], docs["mo2"], "--covering2=1,4"],
+    ):
+        assert main(argv) == 2
+        assert "blocks use atoms of the lattice" in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        code = main(["check", docs["mo2"], "--weakly-connected", f"--covering=0,{10**8}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "blocks use atoms of the lattice" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
 def test_cli_sproduct_check(tmp_path, docs, capsys):
     report = str(tmp_path / "axioms.json")
     code = main(
@@ -409,6 +430,21 @@ def test_cli_rejects_indices_that_are_not_integers(tmp_path, docs, capsys):
     Path(bad).write_text(json.dumps(data))
     assert main(["sproduct-check", bad, docs["mo2"], docs["mo2"], "--T", "id"]) == 2
     assert "h1 indices in range" in capsys.readouterr().err
+
+
+def test_cli_rejects_atoms_that_are_not_string_labels(tmp_path, docs, capsys):
+    # integer labels, a nested list, and a string that would split into
+    # one label per character
+    good = json.loads(Path(docs["mo2"]).read_text())
+    bad = str(tmp_path / "bad.json")
+    for atoms in ([0, 1, 2, 3], [["a"], "b", "c", "d"], "abcd"):
+        Path(bad).write_text(json.dumps(dict(good, atoms=atoms)))
+        for argv in (["check", bad], ["export", bad, "--dot"]):
+            assert main(argv) == 2, (argv, atoms)
+            err = capsys.readouterr().err
+            assert "atoms is a list of strings" in err and "Traceback" not in err
+        with pytest.raises(ValidationError):
+            io.load_document(bad)
 
 
 def test_load_product_reads_indices_in_document_order(tmp_path, docs, capsys):

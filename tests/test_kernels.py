@@ -137,13 +137,7 @@ def test_family_preserved_agreement(data):
         return img
 
     want = all(image(m) in members for m in family)
-    assert _kernels.family_preserved(perm, family, n) == want
-
-
-def test_family_preserved_drops_atoms_past_n_atoms():
-    # atom 2 lies past n_atoms = 2, so {0, 2} maps to {1} under the swap
-    assert _kernels.family_preserved((1, 0), [0b001, 0b010, 0b101], 2)
-    assert not _kernels.family_preserved((1, 0), [0b010, 0b101], 2)
+    assert _kernels.family_preserved(perm, family, members) == want
 
 
 # -- wide masks --------------------------------------------------------------
@@ -155,12 +149,12 @@ def test_kernels_handle_wide_universes():
     seeds = [1 << 69 | 1, (1 << 70) - 2]
     fam = _kernels.close_under_intersection(seeds, universe)
     assert fam == brute_closure(seeds, universe)
-    assert _kernels.family_preserved(tuple(range(70)), fam, 70)
+    assert _kernels.family_preserved(tuple(range(70)), fam, set(fam))
     # reversing atoms 1..68 fixes every member; a rotation moves {69}
     mirror = (0,) + tuple(range(68, 0, -1)) + (69,)
     assert _kernels._mask_action(mirror)(1 << 1 | 1 << 69) == 1 << 68 | 1 << 69
-    assert _kernels.family_preserved(mirror, fam, 70)
-    assert not _kernels.family_preserved(tuple(range(1, 70)) + (0,), fam, 70)
+    assert _kernels.family_preserved(mirror, fam, set(fam))
+    assert not _kernels.family_preserved(tuple(range(1, 70)) + (0,), fam, set(fam))
 
 
 def test_backend_reported():

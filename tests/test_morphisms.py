@@ -179,9 +179,41 @@ def test_family_preserved_on_meet_irreducibles_matches_the_family(lat, rnd):
         perms += [tuple(p[q] for q in rnd.choice(found)) for p in perms[:12]]
     mi, fam = lat.meet_irreducibles(), lat.closed_sets
     for perm in perms:
-        want = _kernels.family_preserved(perm, fam, n)
-        assert _kernels.family_preserved(perm, mi, n) == want
+        want = _kernels.family_preserved(perm, fam, lat)
+        assert _kernels.family_preserved(perm, mi, lat) == want
         assert Automorphism(perm).preserves(lat) == want
+
+
+@given(complete_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_family_preserved_into_another_lattice(lat, rnd):
+    # The target is a relabelled copy: the meet-irreducibles map into it
+    # exactly when the atom map carries the whole family onto it.
+    n = lat.atom_count
+    relabel = list(range(n))
+    rnd.shuffle(relabel)
+    copy = Lattice.from_closed_family(n, map(_kernels._mask_action(relabel), lat))
+    mi = lat.meet_irreducibles()
+    assert _kernels.family_preserved(relabel, mi, copy)
+    for _ in range(8):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        want = set(map(_kernels._mask_action(perm), lat)) == set(copy)
+        assert _kernels.family_preserved(perm, mi, copy) == want
+
+
+def test_family_preserved_rejects_a_non_isomorphism():
+    # Swapping two points of the Fano plane keeps the lines through both
+    # or neither, but sends a line through just one of them to a triple
+    # that is no line.
+    fano = seplat.build_subspace_lattice(2, 3)
+    relabel = (3, 5, 0, 6, 2, 1, 4)
+    copy = Lattice.from_closed_family(7, map(_kernels._mask_action(relabel), fano))
+    mi = fano.meet_irreducibles()
+    assert _kernels.family_preserved(relabel, mi, copy)
+    swapped = (relabel[1], relabel[0]) + relabel[2:]
+    assert not _kernels.family_preserved(swapped, mi, copy)
+    assert seplat.isomorphic(fano, copy) is not None
 
 
 @given(complete_lattices(max_atoms=6))
@@ -647,7 +679,7 @@ def test_iso_step_matches_the_element_wise_oracle(data):
                 for i in range(n1)
                 for j in range(m2)
             ]
-        assert _kernels.family_preserved(perm, base.meet_irreducibles(), base.atom_count)
+        assert _kernels.family_preserved(perm, base.meet_irreducibles(), base)
         act = _kernels._mask_action(perm)
         join_p = {x: act(j) for x, j in true.items()}
     want = oracles.iso_by_elements(left, right, base, join_p)

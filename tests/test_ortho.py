@@ -296,6 +296,16 @@ def test_polars_outside_the_atoms_rejected(polars, witness):
         assert exc.value.witness == witness
 
 
+@pytest.mark.parametrize("pair", [(0, 5), (5, 0), (0, 2), (0, -1), (-1, 1), (0.0, 1), (1, True)])
+def test_pairs_outside_the_atoms_rejected(pair):
+    # An index that is not an int in 0..atom_count-1 is refused by name
+    # before it is used as a list index or a shift count.
+    with pytest.raises(RelationError) as exc:
+        AtomOrthogonality.from_pairs(2, [(0, 1), pair])
+    assert exc.value.law == "pairs use atoms 0..atom_count-1"
+    assert exc.value.witness == pair
+
+
 def test_b2_from_single_pair():
     lat, om = closure_from_orthogonality(2, AtomOrthogonality.from_pairs(2, [(0, 1)]))
     assert len(lat) == 4
