@@ -35,10 +35,13 @@ class Covering:
         return cls((lattice.top,))
 
     @classmethod
-    def from_lists(cls, blocks: Iterable[Iterable[int]]) -> "Covering":
+    def from_lists(cls, lattice: Lattice, blocks: Iterable[Iterable[int]]) -> "Covering":
+        """The covering whose blocks list atom indices of `lattice`; every
+        index is checked before any mask is built."""
         blocks = [list(b) for b in blocks]
+        n = lattice.atom_count
         for b in blocks:
-            if any(type(a) is not int or a < 0 for a in b):
+            if any(type(a) is not int or not 0 <= a < n for a in b):
                 raise CoveringError("blocks use atoms of the lattice", b)
         return cls(tuple(mask_of(b) for b in blocks))
 
@@ -499,17 +502,37 @@ def _blocks(group: AutoGroup, transversal: dict[int, Automorphism]) -> list[int]
     transversal of atom 0.  An intransitive group goes through the sweep
     over its generators, capped at `SWEEP_ATOM_CAP` atoms, and a survivor
     is a block exactly when it is its own smallest block.
+
+    One atom q per orbit of the stabilizer G_0 of atom 0 is enough.  A
+    block B holding 0 is G_0-invariant: for g in G_0, g(B) ∩ B holds 0,
+    so g(B) = B.  Hence each G_0-orbit lies inside B or outside it, and
+    for g in G_0 the smallest block of b ∪ {g(q)} is g of the smallest
+    block of b ∪ {q}, which holds 0, so it is that block itself.  The
+    strong generators fixing 0 generate G_0, as the chain has base
+    0, 1, …, n−1, and the orbits are walked from them.
     """
     n = group.lattice.atom_count
     perms = [g.perm for g in group.generators]
     if n and len(transversal) == n:
-        full = full_mask(n)
+        stabilizer = [g for g in perms if g[0] == 0]
+        reps, seen = [], 1
+        for q in range(1, n):
+            if not seen >> q & 1:
+                reps.append(q)
+                seen |= 1 << q
+                orbit = [q]
+                for y in orbit:
+                    for g in stabilizer:
+                        if not seen >> g[y] & 1:
+                            seen |= 1 << g[y]
+                            orbit.append(g[y])
         holding_0 = [1]
         for b in holding_0:
-            for q in atoms_of(full & ~b):
-                c = _block_of(perms, n, b | 1 << q)
-                if c not in holding_0:
-                    holding_0.append(c)
+            for q in reps:
+                if not b >> q & 1:
+                    c = _block_of(perms, n, b | 1 << q)
+                    if c not in holding_0:
+                        holding_0.append(c)
         return sorted({t(b) for t in transversal.values() for b in holding_0})
     if n > SWEEP_ATOM_CAP:
         raise SizeCapError(

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import axioms, io, morphisms, ortho as ortho_mod, product as product_mod
 from .builders import LatticeSpec
-from .errors import CharacterizationError, CoveringError, FactorizationError, SeplatError
+from .errors import CharacterizationError, FactorizationError, SeplatError
 from .lattice import Lattice
 from .perm import AutoGroup
 
@@ -37,10 +37,7 @@ def _parse_covering(spec: Optional[str], lattice: Lattice) -> axioms.Covering:
         ]
     except ValueError as e:
         raise SeplatError(f"covering spec must look like '0,1;2,3': {e}") from e
-    for b in blocks:
-        if any(a >= lattice.atom_count for a in b):
-            raise CoveringError("blocks use atoms of the lattice", b)
-    return axioms.Covering.from_lists(blocks)
+    return axioms.Covering.from_lists(lattice, blocks)
 
 
 def _cmd_build(args) -> int:

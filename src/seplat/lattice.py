@@ -404,10 +404,6 @@ class Lattice:
             m in seeds for m in self.meet_irreducibles()
         )
 
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        self.require(x)
-        return tuple(y for (a, y) in self.covers() if a == x)
-
     def covers_pair(self, x: int, y: int) -> bool:
         """True iff y covers x: x < y with no closed set strictly between."""
         self.require(x)

@@ -275,6 +275,17 @@ def factor_automorphism(
     target sends every member there (see `Lattice.meet_irreducibles`).
     An empty `perm` means n1·n2 = 0; it is the pair map of the two
     identities, which factor straight.
+
+    The maps are read off the first atom of each line, left_map[i] off
+    perm[i·n2] and right_map[j] off perm[j] (row index `//`, column index
+    `%`, the other way round on the swapped side), and `perm` is compared
+    with their pair map in one tuple comparison.  The comparison passes
+    exactly when both line steps do: if they pass, the maps read are the
+    extracted ones, and `perm` is their pair map as above; if it passes,
+    row i goes to line left_map[i] and column j to line right_map[j].  So
+    the line steps run only to name the failure.  The verdicts of the
+    factor-map steps depend only on the step and the map, and are kept
+    on the product.
     """
     n1, n2 = product.left.atom_count, product.right.atom_count
     if not isinstance(auto, Automorphism):
@@ -284,29 +295,32 @@ def factor_automorphism(
         raise ValidationError("automorphism permutes the product's pair atoms", len(perm))
     if not perm:
         return FactorizationResult("straight", tuple(range(n1)), tuple(range(n2)))
-    # The line index that the atoms of a row image must share: their row
-    # on the straight side, their column on the swapped side; the atoms of
-    # a column image share the other one.
-    row_line = [p // n2 for p in perm]
-    col_line = [p % n2 for p in perm]
-    side = "straight"
-    if n1 == n2 and len(set(row_line[:n2])) > 1:
-        side, row_line, col_line = "swapped", col_line, row_line
-    left_map = []
-    for i in range(n1):
-        lines = set(row_line[i * n2 : (i + 1) * n2])
-        if len(lines) != 1:
-            image = tuple(sorted(perm[i * n2 : (i + 1) * n2]))
-            raise FactorizationError("row image is a row or column", (i, image))
-        left_map.append(lines.pop())
-    right_map = []
-    for j in range(n2):
-        lines = set(col_line[j::n2])
-        if len(lines) != 1:
-            image = tuple(sorted(perm[j::n2]))
-            raise FactorizationError("column images match the side choice", (j, image))
-        right_map.append(lines.pop())
-    left_map, right_map = tuple(left_map), tuple(right_map)
+    if n1 == n2 and len({p // n2 for p in perm[:n2]}) > 1:
+        side = "swapped"
+        left_map = tuple(p % n2 for p in perm[::n2])
+        right_map = tuple(p // n2 for p in perm[:n2])
+        pair_map = tuple(y * n2 + x for x in left_map for y in right_map)
+    else:
+        side = "straight"
+        left_map = tuple(p // n2 for p in perm[::n2])
+        right_map = tuple(p % n2 for p in perm[:n2])
+        pair_map = tuple(x * n2 + y for x in left_map for y in right_map)
+    if perm != pair_map:
+        # The line index that the atoms of a row image must share: their
+        # row on the straight side, their column on the swapped side; the
+        # atoms of a column image share the other one.
+        row_line = [p // n2 for p in perm]
+        col_line = [p % n2 for p in perm]
+        if side == "swapped":
+            row_line, col_line = col_line, row_line
+        for i in range(n1):
+            if len(set(row_line[i * n2 : (i + 1) * n2])) != 1:
+                image = tuple(sorted(perm[i * n2 : (i + 1) * n2]))
+                raise FactorizationError("row image is a row or column", (i, image))
+        for j in range(n2):
+            if len(set(col_line[j::n2])) != 1:
+                image = tuple(sorted(perm[j::n2]))
+                raise FactorizationError("column images match the side choice", (j, image))
     left, right = product.left, product.right
     if side == "straight":
         checks = (
@@ -318,8 +332,14 @@ def factor_automorphism(
             (left_map, left, right, "left map is an isomorphism onto the right factor"),
             (right_map, right, left, "right map is an isomorphism onto the left factor"),
         )
+    verdicts = product._factor_verdicts
     for amap, src, dst, step in checks:
-        if not _kernels.family_preserved(amap, src.meet_irreducibles(), dst):
+        ok = verdicts.get((step, amap))
+        if ok is None:
+            ok = verdicts[step, amap] = _kernels.family_preserved(
+                amap, src.meet_irreducibles(), dst
+            )
+        if not ok:
             raise FactorizationError(step, amap)
     return FactorizationResult(side, left_map, right_map)
 

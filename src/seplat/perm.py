@@ -31,6 +31,14 @@ class Automorphism:
         self._act = None
 
     @classmethod
+    def _of_permutation(cls, perm: tuple[int, ...]) -> "Automorphism":
+        """The Automorphism of `perm`, a tuple already known to be a
+        permutation of the atoms, built without checking it again."""
+        u = cls.__new__(cls)
+        u.perm, u._act = perm, None
+        return u
+
+    @classmethod
     def identity(cls, n: int) -> "Automorphism":
         return cls(range(n))
 
@@ -222,13 +230,18 @@ class AutoGroup:
         return self.order
 
     def __iter__(self):
-        # The members agreeing with g on 0, …, k−1 are g∘G_k, and g∘t_x
-        # sends k to g(x); visiting x by g(x) gives lexicographic order.
+        """Every member, in lexicographic order of the permutation tuples.
+
+        The members agreeing with g on 0, …, k−1 are g∘G_k, and g∘t_x
+        sends k to g(x); visiting x by g(x) gives lexicographic order.
+        Each member is a composite of transversal permutations, which were
+        checked when the generators were built, so it is a permutation of
+        the atoms too and is not checked again."""
         moving = [(k, level) for k, level in enumerate(self._levels) if len(level) > 1]
 
         def walk(i, g):
             if i == len(moving):
-                yield Automorphism(g)
+                yield Automorphism._of_permutation(g)
                 return
             k, level = moving[i]
             for x in sorted(level, key=g.__getitem__):

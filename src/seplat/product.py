@@ -65,6 +65,8 @@ class ProductLattice:
     h2: dict[int, int]
     route: str
     ortho: Optional[OrthoMap] = None
+    # (step, map) -> verdict of `factor_automorphism`'s factor-map steps
+    _factor_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- pair-atom indexing -------------------------------------------
 

@@ -606,6 +606,56 @@ def factor_by_steps(product, auto):
     return side, left_map, right_map
 
 
+def factor_by_lines(product, perm):
+    """The row-and-column reading of a permutation `perm` of the pair
+    atoms, as `seplat.factor_automorphism` did it before its pair-map
+    comparison: the line every row image lies on, then every column
+    image, then the two factor maps read off those lines, each checked on
+    its own.  Returns (side, left_map, right_map) or raises
+    seplat FactorizationError with the step and witness."""
+    from seplat import _kernels
+    from seplat.errors import FactorizationError
+
+    n1, n2 = product.left.atom_count, product.right.atom_count
+    if not perm:
+        return "straight", tuple(range(n1)), tuple(range(n2))
+    row_line = [p // n2 for p in perm]
+    col_line = [p % n2 for p in perm]
+    side = "straight"
+    if n1 == n2 and len(set(row_line[:n2])) > 1:
+        side, row_line, col_line = "swapped", col_line, row_line
+    left_map = []
+    for i in range(n1):
+        lines = set(row_line[i * n2 : (i + 1) * n2])
+        if len(lines) != 1:
+            image = tuple(sorted(perm[i * n2 : (i + 1) * n2]))
+            raise FactorizationError("row image is a row or column", (i, image))
+        left_map.append(lines.pop())
+    right_map = []
+    for j in range(n2):
+        lines = set(col_line[j::n2])
+        if len(lines) != 1:
+            image = tuple(sorted(perm[j::n2]))
+            raise FactorizationError("column images match the side choice", (j, image))
+        right_map.append(lines.pop())
+    left_map, right_map = tuple(left_map), tuple(right_map)
+    left, right = product.left, product.right
+    if side == "straight":
+        checks = (
+            (left_map, left, left, "left map is a factor automorphism"),
+            (right_map, right, right, "right map is a factor automorphism"),
+        )
+    else:
+        checks = (
+            (left_map, left, right, "left map is an isomorphism onto the right factor"),
+            (right_map, right, left, "right map is an isomorphism onto the left factor"),
+        )
+    for amap, src, dst, step in checks:
+        if not _kernels.family_preserved(amap, src.meet_irreducibles(), dst):
+            raise FactorizationError(step, amap)
+    return side, left_map, right_map
+
+
 # -- orthocomplementation search in index order ----------------------------
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,7 @@ def test_b3_fails_the_third_atom_condition(b3):
 
 def test_disjoint_blocks_fail_the_chain_condition(mo2):
     lat, _ = mo2
-    cov = Covering.from_lists([[0, 1], [2, 3]])
+    cov = Covering.from_lists(lat, [[0, 1], [2, 3]])
     res = seplat.weakly_connected(lat, cov)
     assert not res.ok
     assert res.condition == "atoms joined by a chain of overlapping blocks"
@@ -73,7 +74,7 @@ def test_disjoint_blocks_fail_the_chain_condition(mo2):
 
 def test_overlapping_blocks_satisfy_the_chain_condition(mo2):
     lat, _ = mo2
-    cov = Covering.from_lists([[0, 1, 2], [1, 2, 3]])
+    cov = Covering.from_lists(lat, [[0, 1, 2], [1, 2, 3]])
     assert seplat.weakly_connected(lat, cov).ok
 
 
@@ -85,12 +86,28 @@ def test_covering_shape_violations(mo2):
         seplat.weakly_connected(lat, Covering((0b10000,)))
     for block in ([0, -1], [0, 1.0], [0, True]):
         with pytest.raises(CoveringError) as exc:
-            Covering.from_lists([[2, 3], block])
+            Covering.from_lists(lat, [[2, 3], block])
         assert exc.value.reason == "blocks use atoms of the lattice"
-    res = seplat.weakly_connected(lat, Covering.from_lists([[0], [1, 2, 3]]))
+    res = seplat.weakly_connected(lat, Covering.from_lists(lat, [[0], [1, 2, 3]]))
     assert not res.ok and res.condition == "blocks have at least two atoms"
-    res = seplat.weakly_connected(lat, Covering.from_lists([[0, 1]]))
+    res = seplat.weakly_connected(lat, Covering.from_lists(lat, [[0, 1]]))
     assert not res.ok and res.condition == "blocks cover every atom"
+
+
+def test_covering_atoms_past_the_lattice_fail_before_a_mask_is_built(mo2):
+    # atom 10**8 as a mask would be a 12 MB int
+    lat, _ = mo2
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoveringError) as exc:
+            Covering.from_lists(lat, [[0, 10**8]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.reason, exc.value.witness) == ("blocks use atoms of the lattice", [0, 10**8])
+    assert peak < 1 << 20
+    with pytest.raises(CoveringError):
+        Covering.from_lists(lat, [[0, 4]])
 
 
 def test_refutation_is_sound_and_inconclusive_where_expected(mo2, b3):
@@ -148,7 +165,7 @@ def test_boolean_square_product_fails_laterally(mo1):
 
 
 def test_disconnected_covering_raises(prod22):
-    bad = Covering.from_lists([[0, 1], [2, 3]])
+    bad = Covering.from_lists(prod22.left, [[0, 1], [2, 3]])
     with pytest.raises(CoveringError) as exc:
         seplat.laterally_connected(prod22, bad, Covering.single_block(prod22.right))
     assert "left covering is not connected" in str(exc.value)

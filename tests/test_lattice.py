@@ -236,7 +236,7 @@ def test_negative_members_are_rejected():
 def test_atoms_are_covers_of_bottom():
     for fam, n in [(oracles.mo_family(2), 4), (oracles.boolean_family(3), 3)]:
         lat = lattice_from_oracle(fam, n)
-        assert set(lat.atoms()) == set(lat.upper_covers(lat.bottom))
+        assert set(lat.atoms()) == {y for x, y in lat.covers() if x == lat.bottom}
         assert list(lat.atoms()) == [1 << a for a in range(n)]
 
 
@@ -547,7 +547,7 @@ def test_join_rejects_non_members(lat, raw):
 @given(complete_lattices())
 @settings(max_examples=150, deadline=None)
 def test_covers_match_the_ordered_pair_scan(lat):
-    # compared as a sequence: `upper_covers` and DOT edges keep its order
+    # compared as a sequence: DOT edges keep its order
     assert list(lat.covers()) == oracles.ordered_covers(lat.closed_sets)
 
 

@@ -392,6 +392,119 @@ def test_pair_reading_agrees_with_the_steps(prod22, prod23, b3, mo2):
     }
 
 
+@functools.cache
+def _factor_products():
+    """Products keyed by their factors' atom counts: the products under one
+    key take the same permutations but have different factors."""
+    mo2, mo3 = seplat.build_mo(2)[0], seplat.build_mo(3)[0]
+    b2, b3 = seplat.build_boolean(2)[0], seplat.build_boolean(3)[0]
+    chain = Lattice.from_closed_family(3, [0b011], mode="complete")
+    out = {}
+    for left, right in (
+        (mo2, mo2), (mo2, mo3), (b3, mo2), (chain, mo2),
+        (b2, b2), (chain, b3), (b3, b3), (chain, chain),
+    ):
+        key = left.atom_count, right.atom_count
+        out.setdefault(key, []).append(seplat.aerts_product_general(left, right))
+    return out
+
+
+def _line_outcome(prod, perm):
+    try:
+        return ("ok",) + oracles.factor_by_lines(prod, perm)
+    except FactorizationError as e:
+        return "fail", e.step, e.witness
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_factorization_matches_the_line_reading(data):
+    # Random pair-atom permutations, rows sent to rows with a right map per
+    # row, and pair maps of random factor permutations, on every product of
+    # the drawn atom counts in a drawn order, each factored twice: a verdict
+    # kept for one product must neither change on the second call nor
+    # reach a product with other factors.
+    products = _factor_products()
+    n1, n2 = data.draw(st.sampled_from(sorted(products)))
+    kind = data.draw(st.sampled_from(["random", "rows", "pair"]))
+    if kind == "random":
+        perm = data.draw(st.permutations(range(n1 * n2)))
+    else:
+        u1 = data.draw(st.permutations(range(n1)))
+        if kind == "rows":
+            u2s = [data.draw(st.permutations(range(n2))) for _ in range(n1)]
+        else:
+            u2s = [data.draw(st.permutations(range(n2)))] * n1
+        if n1 == n2 and data.draw(st.booleans()):
+            perm = [b * n2 + a for a, u2 in zip(u1, u2s) for b in u2]
+        else:
+            perm = [a * n2 + b for a, u2 in zip(u1, u2s) for b in u2]
+    u = Automorphism(perm)
+    for prod in data.draw(st.permutations(products[n1, n2])):
+        want = _line_outcome(prod, u.perm)
+        assert _factor_outcome(prod, u) == want
+        assert _factor_outcome(prod, u) == want
+
+
+def test_factor_map_verdicts_stay_with_their_product():
+    # (2, 1, 0) moves the chain's pair {0, 1} off itself and permutes B3
+    chain_b3, b3_b3, _ = _factor_products()[3, 3]
+    u = Automorphism(a * 3 + b for a in (2, 1, 0) for b in range(3))
+    for prod in (chain_b3, b3_b3, chain_b3, b3_b3):
+        assert _factor_outcome(prod, u) == _line_outcome(prod, u.perm)
+    assert _factor_outcome(chain_b3, u) == (
+        "fail", "left map is a factor automorphism", (2, 1, 0)
+    )
+    assert _factor_outcome(b3_b3, u) == ("ok", "straight", (2, 1, 0), (0, 1, 2))
+
+
+def _relabeled_copy(lattice, rng):
+    """Copy of `lattice` with its atoms permuted by a random bijection,
+    rebuilt through the public constructor, as the benchmark's seeded
+    inputs are."""
+    n = lattice.atom_count
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    old = lattice.atom_labels or tuple(str(a) for a in range(n))
+    labels = [""] * n
+    for a in range(n):
+        labels[sigma[a]] = old[a]
+    return Lattice.from_closed_family(
+        n, [_relabel(m, sigma) for m in lattice.closed_sets], atom_labels=labels
+    )
+
+
+def test_kernel_call_counts_do_not_depend_on_the_atom_labels(monkeypatch):
+    # The benchmark's traced runs require every call count to repeat across
+    # passes, whose inputs are relabeled copies: the count of atom-map
+    # checks must be a function of the isomorphism class of the factors.
+    calls = []
+    family_preserved = _kernels.family_preserved
+
+    def counted(*args):
+        calls.append(None)
+        return family_preserved(*args)
+
+    monkeypatch.setattr(_kernels, "family_preserved", counted)
+    factors = {
+        "GF(2)^3xMO(2)": (seplat.build_subspace_lattice(2, 3), seplat.build_mo(2)[0]),
+        "MO(2)xMO(2)": (seplat.build_mo(2)[0], seplat.build_mo(2)[0]),
+    }
+    for name, (left, right) in factors.items():
+        counts = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            l1, l2 = _relabeled_copy(left, rng), _relabeled_copy(right, rng)
+            calls.clear()
+            t1, t2 = seplat.enumerate_automorphisms(l1), seplat.enumerate_automorphisms(l2)
+            prod = seplat.aerts_product_general(l1, l2)
+            assert seplat.check_sproduct(prod, t1, t2).passed
+            for u in seplat.enumerate_automorphisms(prod.base):
+                seplat.factor_automorphism(prod, u)
+            counts.add(len(calls))
+        assert len(counts) == 1, (name, counts)
+
+
 # -- orthocomplementation search ----------------------------------------------
 
 

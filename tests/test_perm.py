@@ -48,6 +48,20 @@ def test_schreier_sims_matches_the_closure(data):
 
 
 @given(generating_sets(max_atoms=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_members_act_on_masks(generating_set, data):
+    # members are listed without a second permutation check; each still
+    # acts on masks and compares like a checked Automorphism
+    n, gens = generating_set
+    _, group = _group(n, gens)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    for u in group:
+        checked = Automorphism(u.perm)
+        assert [u(m) for m in masks] == [oracles._image(u.perm, m) for m in masks]
+        assert u == checked and hash(u) == hash(checked)
+
+
+@given(generating_sets(max_atoms=6), st.data())
 @settings(max_examples=150, deadline=None)
 def test_smallest_blocks_match_the_sweep(generating_set, data):
     # The blocks are the subsets the sweep over every member keeps, and they
