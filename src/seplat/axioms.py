@@ -19,7 +19,7 @@ from .bitset import atoms_of, full_mask, is_subset, iter_atoms, mask_of, popcoun
 from .errors import CoveringError, SizeCapError, ValidationError
 from .lattice import Lattice
 from .perm import Automorphism, AutoGroup
-from .product import CheckReport, ProductLattice, _subset_pools, otimes
+from .product import CheckReport, ProductLattice, _pair_perm, _subset_pools, otimes
 
 SWEEP_ATOM_CAP = 20
 
@@ -58,8 +58,9 @@ class Covering:
 
 @dataclass
 class ConnectivityResult:
-    """Outcome of a connectivity check with a certificate: the name of
-    the first failed condition and a concrete witness."""
+    """Outcome of a connectivity or transitivity check with a
+    certificate: the name of the first failed condition and a concrete
+    witness."""
 
     ok: bool
     condition: Optional[str] = None
@@ -72,6 +73,23 @@ class ConnectivityResult:
 def _third_atom(lattice: Lattice, p: int, q: int) -> bool:
     """True iff the join of distinct atoms p, q holds a third atom."""
     return popcount(lattice.join((p, q))) >= 3
+
+
+def _find(parent: list[int], a: int) -> int:
+    """The root of a's class in the union-find forest `parent`, halving
+    the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the classes of a and b; True iff they were distinct."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
+    return ra != rb
 
 
 def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult:
@@ -105,22 +123,13 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
     # chain condition: components of the block graph with overlap >= 2
     k = len(blocks)
     comp = list(range(k))
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
     for i in range(k):
         for j in range(i + 1, k):
             if popcount(blocks[i] & blocks[j]) >= 2:
-                ci, cj = find(i), find(j)
-                if ci != cj:
-                    comp[ci] = cj
+                _union(comp, i, j)
     atom_comps = [0] * n
     for bi, b in enumerate(blocks):
-        c = find(bi)
+        c = _find(comp, bi)
         for a in iter_atoms(b):
             atom_comps[a] |= 1 << c
     for p in range(n):
@@ -214,12 +223,10 @@ def laterally_connected(
     n1, n2 = left.atom_count, right.atom_count
 
     def lateral_right(p1: int, j: int, k: int) -> bool:
-        j_join = base.join((product.singleton(p1, j), product.singleton(p1, k)))
-        return popcount(j_join) >= 3
+        return _third_atom(base, product.singleton(p1, j), product.singleton(p1, k))
 
     def lateral_left(i: int, k: int, p2: int) -> bool:
-        j_join = base.join((product.singleton(i, p2), product.singleton(k, p2)))
-        return popcount(j_join) >= 3
+        return _third_atom(base, product.singleton(i, p2), product.singleton(k, p2))
 
     # The clause asks for p1 serving rp and p2 serving lp, two conditions
     # that share no atom, so it holds exactly when each side has its own
@@ -313,13 +320,6 @@ def _check_embedding_morphism(
             want_join == got_join,
             lambda: (side, "join", [atoms_of(x) for x in omega]),
         )
-
-
-def _pair_perm(u1: tuple[int, ...], u2: tuple[int, ...]) -> tuple[int, ...]:
-    """The pair-atom permutation (p1, p2) -> (u1 p1, u2 p2), pair (i, j)
-    being atom i * n2 + j."""
-    n2 = len(u2)
-    return tuple(a * n2 + b for a in u1 for b in u2)
 
 
 def check_sproduct(
@@ -450,16 +450,6 @@ def check_sproduct(
 # -- transitivity ---------------------------------------------------------
 
 
-@dataclass
-class TransitivityResult:
-    ok: bool
-    condition: Optional[str] = None
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _block_of(perms: list[tuple[int, ...]], n: int, atoms: int) -> int:
     """The smallest block holding the atoms of the mask `atoms`: the class
     holding them in the finest partition that the permutations map onto
@@ -467,27 +457,14 @@ def _block_of(perms: list[tuple[int, ...]], n: int, atoms: int) -> int:
     merge of two classes queues the merged pair, whose images under every
     permutation are merged in turn, so at most n − 1 pairs are queued."""
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-        return ra != rb
-
     listed = atoms_of(atoms)
-    queue = [(listed[0], b) for b in listed[1:] if union(listed[0], b)]
+    queue = [(listed[0], b) for b in listed[1:] if _union(parent, listed[0], b)]
     for a, b in queue:
         for perm in perms:
-            if union(perm[a], perm[b]):
+            if _union(parent, perm[a], perm[b]):
                 queue.append((perm[a], perm[b]))
-    root = find(listed[0])
-    return mask_of(p for p in range(n) if find(p) == root)
+    root = _find(parent, listed[0])
+    return mask_of(p for p in range(n) if _find(parent, p) == root)
 
 
 def _blocks(group: AutoGroup, transversal: dict[int, Automorphism]) -> list[int]:
@@ -547,7 +524,7 @@ def _require_group_of(group: AutoGroup, lattice: Lattice, name: str) -> None:
         raise ValidationError("group acts on the lattice", name)
 
 
-def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResult:
+def strongly_transitive(lattice: Lattice, group: AutoGroup) -> ConnectivityResult:
     """Check that a group of automorphisms acts strongly transitively.
 
     Requires atom transitivity, the fix-one-move-another condition (for
@@ -570,12 +547,12 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
     _require_group_of(group, lattice, "group")
     n = lattice.atom_count
     if n == 0:
-        return TransitivityResult(True)
+        return ConnectivityResult(True)
     full = full_mask(n)
     transversal = group.transversal(0)
     outside = full & ~mask_of(transversal)
     if outside:
-        return TransitivityResult(False, "atom transitivity", (0, atoms_of(outside)[0]))
+        return ConnectivityResult(False, "atom transitivity", (0, atoms_of(outside)[0]))
     moved_by_stabilizer = 0
     for g in group.generators:
         if g.perm[0] == 0:
@@ -583,13 +560,13 @@ def strongly_transitive(lattice: Lattice, group: AutoGroup) -> TransitivityResul
     for p in range(n):
         unmoved = full & ~transversal[p](moved_by_stabilizer) & ~(1 << p)
         if unmoved:
-            return TransitivityResult(
+            return ConnectivityResult(
                 False, "some member fixes p and moves q", (p, atoms_of(unmoved)[0])
             )
     for block in _blocks(group, transversal):
         if block != full and popcount(block) != 1:
-            return TransitivityResult(False, "only trivial invariant subsets", atoms_of(block))
-    return TransitivityResult(True)
+            return ConnectivityResult(False, "only trivial invariant subsets", atoms_of(block))
+    return ConnectivityResult(True)
 
 
 # -- invariant subsets of a product under a group -------------------------
@@ -620,7 +597,10 @@ def induced_pair_group(product: ProductLattice, t1: AutoGroup, t2: AutoGroup) ->
     g of t1 and t2.
 
     On a square product this is the index-two subgroup of the full
-    automorphism group that excludes the factor-swapping maps.
+    automorphism group that excludes the factor-swapping maps.  Like
+    every `AutoGroup`, it raises ValidationError when a generator is no
+    automorphism of the base, as on a product whose pair maps do not
+    preserve it.
     """
     id1 = tuple(range(product.left.atom_count))
     id2 = tuple(range(product.right.atom_count))

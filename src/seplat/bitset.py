@@ -69,8 +69,12 @@ def incidence_rows(masks: Sequence[int], n: int) -> list[int]:
 
 
 def holding(rows: Sequence[int], raw: int, width: int) -> int:
-    """The indices k < width of the masks that hold every atom of `raw`,
-    as a mask: the AND of the incidence rows of raw's atoms."""
+    """The AND of rows[k] over the set bits k of `raw`, starting from the
+    `width`-bit full mask; the one routine for an AND of selected masks.
+    With `rows` the incidence rows of some masks, it gives the indices
+    k < width of the masks that hold every atom of `raw`; with `rows` a
+    list of masks of `width` atoms, their meet."""
+    _require_nonnegative(raw)
     sel = (1 << width) - 1
     while raw and sel:
         low = raw & -raw

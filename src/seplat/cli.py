@@ -8,7 +8,6 @@ malformed input documents.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 

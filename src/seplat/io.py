@@ -100,11 +100,9 @@ class LatticeDocument:
     def build(self) -> tuple[Lattice, Optional[OrthoMap]]:
         """Validate and reconstruct the lattice and its
         orthocomplementation."""
+        order = [mask_of(s) for s in self.closed_sets]
         lat = Lattice.from_closed_family(
-            len(self.atoms),
-            (mask_of(s) for s in self.closed_sets),
-            mode="validate",
-            atom_labels=self.atoms,
+            len(self.atoms), order, mode="validate", atom_labels=self.atoms
         )
         if self.ortho_elements is None:
             return lat, None
@@ -113,7 +111,6 @@ class LatticeDocument:
                 "one orthocomplement index per closed set",
                 len(self.ortho_elements),
             )
-        order = [mask_of(s) for s in self.closed_sets]
         if order != list(lat.closed_sets):
             raise ValidationError(
                 "document closed_sets are in canonical order", self.closed_sets
@@ -208,15 +205,14 @@ def load_product(
     )
     _attach_embeddings(prod)
     # the indices point into the document's own closed_sets order
-    order = [mask_of(s) for s in doc.closed_sets]
     for key, factor, emb in (("h1", left, prod.h1), ("h2", right, prod.h2)):
         indices = meta.get(key)
         if not isinstance(indices, list) or len(indices) != len(factor.closed_sets):
             raise ValidationError(f"product document carries {key}", indices)
         for src, dst in zip(factor.closed_sets, indices):
-            if type(dst) is not int or not 0 <= dst < len(order):
+            if type(dst) is not int or not 0 <= dst < len(doc.closed_sets):
                 raise ValidationError(f"{key} indices in range", dst)
-            if order[dst] != emb[src]:
+            if mask_of(doc.closed_sets[dst]) != emb[src]:
                 raise ValidationError(
                     f"{key} is the rectangle embedding", (atoms_of(src), dst)
                 )

@@ -234,8 +234,7 @@ class Lattice:
         AND of the signatures, and the member that is their meet, the
         join, has exactly that signature.  A signature that no member has
         only arises on a bare `Lattice` that was never validated; the
-        join is then the meet of those meet-irreducibles, as `closure`
-        gives it."""
+        join is then the meet of those meet-irreducibles (`_member`)."""
         if self._sig is None:
             self.meet_irreducibles()
         sig = self._sig
@@ -245,10 +244,7 @@ class Lattice:
                 sel &= sig[x]
             except KeyError:
                 raise ForeignElementError(x) from None
-        try:
-            return self._by_sig[sel]
-        except KeyError:
-            return self._meet_of(sel)
+        return self._member(sel)
 
     def closure(self, raw: int) -> int:
         """Smallest closed superset of an arbitrary set of the lattice's
@@ -256,22 +252,23 @@ class Lattice:
 
         The closure is a member, hence the meet of the meet-irreducibles
         above it, and those are exactly the meet-irreducibles above `raw`:
-        the AND of the incidence rows of raw's atoms.  Cost
-        O(|raw| + #MI above raw)."""
+        the AND of the incidence rows of raw's atoms, which is the
+        closure's signature.  Cost O(|raw|) ANDs and one lookup."""
         if raw in self._index:
             return raw
         _require_atoms(raw, self.top)
         if self._atom_rows is None:
             self.meet_irreducibles()
-        return self._meet_of(holding(self._atom_rows, raw, len(self._mi_found)))
+        return self._member(holding(self._atom_rows, raw, len(self._mi_found)))
 
-    def _meet_of(self, sel: int) -> int:
-        """The meet of the meet-irreducibles whose found-order indices are
-        the bits of `sel` (top for none)."""
-        acc = self.top
-        for k in iter_atoms(sel):
-            acc &= self._mi_found[k]
-        return acc
+    def _member(self, sig: int) -> int:
+        """The member whose signature (see `meet_irreducibles`) is `sig`,
+        or, when no member has it, the meet of the meet-irreducibles whose
+        found-order indices are its bits (top for none)."""
+        try:
+            return self._by_sig[sig]
+        except KeyError:
+            return holding(self._mi_found, sig, self.atom_count)
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << a for a in range(self.atom_count))
@@ -359,6 +356,7 @@ class Lattice:
             rows = [0] * self.atom_count
             sig: dict[int, int] = {}
             for x in sorted(self.closed_sets, key=popcount, reverse=True):
+                # the two loops are `holding` inline: calling it made this pass ~15 % slower
                 above = (1 << len(found)) - 1
                 rest = x
                 while rest and above:

@@ -46,6 +46,7 @@ from .product import (
     ProductLattice,
     _cross,
     _generator_seeds,
+    _pair_perm,
     aerts_product_sharp,
     otimes,
     sharp_relation,
@@ -304,7 +305,7 @@ def factor_automorphism(
         side = "straight"
         left_map = tuple(p // n2 for p in perm[::n2])
         right_map = tuple(p % n2 for p in perm[:n2])
-        pair_map = tuple(x * n2 + y for x in left_map for y in right_map)
+        pair_map = _pair_perm(left_map, right_map)
     if perm != pair_map:
         # The line index that the atoms of a row image must share: their
         # row on the straight side, their column on the swapped side; the
@@ -499,20 +500,10 @@ def _iso_atom_map(
     """
     n1, n2 = left.atom_count, right.atom_count
     rows = incidence_rows([_cross(left, right, x1, x2) for x1, x2 in join_p], n1 * n2)
-    joins = list(join_p.values())
-    top = base.top
-
-    def iso(sel: int) -> int:
-        acc = top
-        while sel:
-            low = sel & -sel
-            acc &= joins[low.bit_length() - 1]
-            sel ^= low
-        return acc
-
+    joins, width = list(join_p.values()), base.atom_count
     atom_map = []
     for p, row in enumerate(rows):
-        img = iso(row)
+        img = holding(joins, row, width)
         if popcount(img) != 1:
             raise CharacterizationError("iso-order", ((p,), atoms_of(img)))
         atom_map.append(img.bit_length() - 1)
@@ -521,10 +512,9 @@ def _iso_atom_map(
             "iso-bijective", (n1 * n2, base.atom_count, len(set(atom_map)))
         )
     act = _kernels._mask_action(atom_map)
-    width = len(joins)
     seeds = canonical_family(_generator_seeds(left, right))
     for s in seeds:
-        img = iso(holding(rows, s, width))
+        img = holding(joins, holding(rows, s, len(joins)), width)
         if img != act(s):
             raise CharacterizationError("iso-order", (atoms_of(s), atoms_of(img)))
     images = set(map(act, seeds))
@@ -712,9 +702,7 @@ def characterize(
     return CharacterizationResult(
         product=product,
         atom_map=atom_map,
-        delta={
-            (x1, x2): d for (x1, x2), d in delta.items()
-        },
+        delta=delta,
         induced_left=induced_left,
         induced_right=induced_right,
         steps=steps,

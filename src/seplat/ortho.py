@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .bitset import atoms_of, full_mask, is_subset, iter_atoms
-from .errors import OrthoViolation, RelationError
+from .bitset import atoms_of, holding, is_subset, iter_atoms
+from .errors import OrthoViolation, RelationError, ValidationError
 from .lattice import Lattice
 
 
@@ -42,16 +42,9 @@ class OrthoMap:
     def images(self) -> dict[int, int]:
         """Element mask -> orthocomplement mask, for every element."""
         if self._images is None:
-            top, table = self.lattice.top, self.table
-            images = {}
-            for x in self.lattice.closed_sets:
-                acc, rest = top, x
-                while rest:
-                    low = rest & -rest
-                    acc &= table[low]
-                    rest ^= low
-                images[x] = acc
-            self._images = images
+            n = self.lattice.atom_count
+            by_atom = [self.table[1 << a] for a in range(n)]
+            self._images = {x: holding(by_atom, x, n) for x in self.lattice.closed_sets}
         return self._images
 
     def __call__(self, mask: int) -> int:
@@ -137,7 +130,10 @@ def is_orthomodular(lattice: Lattice, ortho: OrthoMap) -> bool:
     y = x v 0 = x.  If it fails at x <= y, then z = x v (x' ^ y) < y, and
     z' ^ y = x' ^ (x v y') ^ y lies below x' ^ y, which lies below z, so
     z' ^ y <= z ^ z' = 0; every cover w of z below y then has z' ^ w = 0.
+    ValidationError for a map of another lattice.
     """
+    if ortho.lattice != lattice:
+        raise ValidationError("ortho map belongs to the lattice")
     return all(ortho.images[x] & y for x, y in lattice.covers())
 
 
@@ -188,11 +184,11 @@ class AtomOrthogonality:
         return out
 
     def polar_of(self, subset: int) -> int:
-        """Atoms orthogonal to every atom of `subset`."""
-        acc = full_mask(self.atom_count)
-        for p in iter_atoms(subset):
-            acc &= self.polars[p]
-        return acc
+        """Atoms orthogonal to every atom of `subset`; RelationError for a
+        subset holding an atom outside 0..atom_count-1."""
+        if subset >> self.atom_count > 0:
+            raise RelationError("subsets use atoms 0..atom_count-1", atoms_of(subset))
+        return holding(self.polars, subset, self.atom_count)
 
     def validate(self) -> None:
         """Raise RelationError on the first polar holding an atom outside

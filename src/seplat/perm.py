@@ -178,7 +178,9 @@ class AutoGroup:
     (the members other than the identity that the chain's transversals
     hold), and iteration lists every member, built from the
     chain, in lexicographic order of the permutation tuples.  Every
-    generator must permute exactly the lattice's atoms.
+    generator must permute exactly the lattice's atoms and be an
+    automorphism of the lattice (`Automorphism.preserves`);
+    ValidationError otherwise.
     """
 
     __slots__ = ("lattice", "generators", "order", "_levels")
@@ -190,6 +192,8 @@ class AutoGroup:
                 raise ValidationError(
                     "group members permute the lattice's atoms", u.perm
                 )
+            if not u.preserves(lattice):
+                raise ValidationError("group members are automorphisms of the lattice", u.perm)
             perms.append(u.perm)
         self._set_chain(lattice, _schreier_sims(lattice.atom_count, perms))
 

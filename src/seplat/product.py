@@ -47,6 +47,13 @@ def _cross(left: Lattice, right: Lattice, left_atoms: int, right_atoms: int) -> 
     return _rect(left_atoms, right.top, n2) | _rect(left.top, right_atoms, n2)
 
 
+def _pair_perm(u1: tuple[int, ...], u2: tuple[int, ...]) -> tuple[int, ...]:
+    """The pair-atom permutation (p1, p2) -> (u1 p1, u2 p2), pair (i, j)
+    being atom i * n2 + j."""
+    n2 = len(u2)
+    return tuple(a * n2 + b for a in u1 for b in u2)
+
+
 @dataclass
 class ProductLattice:
     """A lattice presented as a product of two factors.
@@ -179,7 +186,11 @@ def sharp_relation(
     """Pair atoms are orthogonal iff their left components are orthogonal
     in the left factor or their right components are in the right factor.
     The result is validated: it is symmetric, anti-reflexive and
-    separating whenever the factor maps are valid orthocomplementations."""
+    separating whenever the factor maps are valid orthocomplementations.
+    ValidationError, witness the side, for a map of another lattice."""
+    for lat, ortho, side in ((left, ortho1, "left"), (right, ortho2, "right")):
+        if ortho.lattice != lat:
+            raise ValidationError("ortho maps belong to their factors", side)
     n1, n2 = left.atom_count, right.atom_count
     polars = []
     for i in range(n1):

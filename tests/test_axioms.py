@@ -713,3 +713,12 @@ def test_classification_rejects_a_group_of_another_lattice(prod22, aut_mo2):
     with pytest.raises(ValidationError) as exc:
         seplat.classify_invariant_subsets(prod22, aut_mo2)
     assert exc.value.law == "group acts on the lattice"
+
+
+def test_induced_pair_group_rejects_maps_off_the_base(prod22, aut_mo2):
+    # the extra two-set {(0,0), (0,1)} is moved off the base by a left
+    # generator that moves atom 0
+    with pytest.raises(ValidationError) as exc:
+        seplat.induced_pair_group(_corrupted22(prod22), aut_mo2, aut_mo2)
+    assert exc.value.law == "group members are automorphisms of the lattice"
+    assert seplat.induced_pair_group(prod22, aut_mo2, aut_mo2).order == 576

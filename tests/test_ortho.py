@@ -237,6 +237,16 @@ def test_relation_from_pairs_roundtrip():
     rel.validate()
 
 
+def test_polars_of_atoms_past_the_relation_are_refused():
+    rel = AtomOrthogonality.from_pairs(4, [(0, 1), (2, 3)])
+    # the polars of atoms 0 and 1 are disjoint, so an AND over the atoms
+    # in order is empty before it reaches atom 4
+    for subset in (0b10000, 0b10011):
+        with pytest.raises(RelationError) as exc:
+            rel.polar_of(subset)
+        assert exc.value.law == "subsets use atoms 0..atom_count-1"
+
+
 def test_reflexive_pair_rejected():
     rel = AtomOrthogonality.from_pairs(2, [(0, 0), (0, 1)])
     with pytest.raises(RelationError) as exc:
@@ -451,3 +461,9 @@ def test_order_reversal_matches_the_pair_loop():
             x, y = err.witness
             assert (frozenset(x), frozenset(y)) in bad
     assert 100 < sum(verdicts) < 700  # both verdicts come up often
+
+
+def test_orthomodularity_rejects_a_map_of_another_lattice(mo2, mo3):
+    with pytest.raises(seplat.ValidationError) as exc:
+        seplat.is_orthomodular(mo3[0], mo2[1])
+    assert exc.value.law == "ortho map belongs to the lattice"

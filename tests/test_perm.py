@@ -166,3 +166,18 @@ def test_p4_on_generators_matches_all_pairs(left, right, corrupt, prod22):
     report = seplat.check_sproduct(prod, t1, t2).reports["P4"]
     got = (report.passed, report.checked, report.failures)
     assert got == oracles.p4_all_pairs(prod, m1, m2)
+
+
+def test_generators_must_be_automorphisms(mo2):
+    fano = seplat.build_subspace_lattice(2, 3)
+    swap = Automorphism((1, 0, 2, 3, 4, 5, 6))
+    assert not swap.preserves(fano)
+    for lat, gens in ((fano, [swap]), (fano, [Automorphism.identity(7), swap])):
+        with pytest.raises(seplat.ValidationError) as exc:
+            AutoGroup(lat, gens)
+        assert (exc.value.law, exc.value.witness) == (
+            "group members are automorphisms of the lattice",
+            swap.perm,
+        )
+    # every atom permutation of MO(2) is an automorphism
+    assert AutoGroup(mo2[0], [Automorphism((1, 0, 2, 3))]).order == 2

@@ -228,3 +228,21 @@ def test_with_ortho_attaches_and_rejects(prod22):
     mo3_lat, mo3_om = seplat.build_mo(3)
     with pytest.raises(seplat.errors.ValidationError):
         general.with_ortho(mo3_om)
+
+
+def test_sharp_product_rejects_a_map_of_another_lattice(mo2):
+    lat, om = mo2
+    _, boolean_om = seplat.build_boolean(4)
+    assert lat.atom_count == boolean_om.lattice.atom_count == 4
+    for args, side in (
+        ((lat, boolean_om, lat, om), "left"),
+        ((lat, om, lat, boolean_om), "right"),
+    ):
+        for build in (seplat.aerts_product_sharp, seplat.product.sharp_relation):
+            with pytest.raises(seplat.ValidationError) as exc:
+                build(*args)
+            assert (exc.value.law, exc.value.witness) == (
+                "ortho maps belong to their factors",
+                side,
+            )
+    assert len(seplat.aerts_product_sharp(lat, om, lat, om).base) == 114
