@@ -61,9 +61,7 @@ from .morphisms import (
 from .ortho import (
     AtomOrthogonality,
     OrthoMap,
-    atom_perp,
     closure_from_orthogonality,
-    commutes,
     is_orthomodular,
     validate_ortho,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "ValidationError",
     "aerts_product_general",
     "aerts_product_sharp",
-    "atom_perp",
     "atoms_of",
     "build_boolean",
     "build_mo",
@@ -111,7 +108,6 @@ __all__ = [
     "check_sproduct",
     "classify_invariant_subsets",
     "closure_from_orthogonality",
-    "commutes",
     "dump_lattice",
     "dump_product",
     "enumerate_automorphisms",

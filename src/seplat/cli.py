@@ -8,6 +8,7 @@ malformed input documents.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -213,7 +214,11 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `seplat` argument parser, built once per process: each
+    `parse_args` call returns a fresh namespace, so calls share the parser
+    and none of their options."""
     parser = argparse.ArgumentParser(
         prog="seplat",
         description="Separated products of finite atomistic lattices",

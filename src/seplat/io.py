@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, TextIO, Union
 
 from .bitset import atoms_of, mask_of
@@ -39,9 +40,9 @@ class LatticeDocument:
         closed = [list(atoms_of(m)) for m in lattice.closed_sets]
         ortho_elements = None
         if ortho is not None:
-            ortho_elements = [
-                lattice.element_index(ortho.images[m]) for m in lattice.closed_sets
-            ]
+            ortho_elements = list(
+                map(lattice.element_index, map(ortho.images.__getitem__, lattice.closed_sets))
+            )
         return cls(atoms, closed, ortho_elements, dict(meta or {}))
 
     @classmethod
@@ -71,7 +72,11 @@ class LatticeDocument:
     def from_dict(cls, data: dict) -> "LatticeDocument":
         """Read a document, requiring `atoms` to be a JSON list of string
         labels and every atom and element index to be a JSON integer: a
-        float or a numeric string is not an index."""
+        float or a numeric string is not an index.
+
+        Types and ranges are checked once over all indices (`type` is
+        exact, so `True` and `1.0` are refused); only a failed check runs
+        the loop that names the first offending member or index."""
         try:
             atoms = data["atoms"]
             closed = [list(s) for s in data["closed_sets"]]
@@ -82,16 +87,21 @@ class LatticeDocument:
         for label in atoms:
             if type(label) is not str:
                 raise ValidationError("atoms is a list of strings", label)
-        for s in closed:
-            if not all(type(a) is int and 0 <= a < len(atoms) for a in s):
-                raise ValidationError("members use atoms 0..atom_count-1", tuple(s))
+        flat = list(chain.from_iterable(closed))
+        if flat and not (
+            set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < len(atoms)
+        ):
+            for s in closed:
+                if not all(type(a) is int and 0 <= a < len(atoms) for a in s):
+                    raise ValidationError("members use atoms 0..atom_count-1", tuple(s))
         ortho = data.get("ortho_elements")
         if ortho is not None:
             if not isinstance(ortho, list):
                 raise ValidationError("ortho_elements lists element indices", ortho)
-            for i in ortho:
-                if type(i) is not int:
-                    raise ValidationError("ortho_elements lists element indices", i)
+            if not set(map(type, ortho)) <= {int}:
+                for i in ortho:
+                    if type(i) is not int:
+                        raise ValidationError("ortho_elements lists element indices", i)
         meta = data.get("meta") or {}
         if not isinstance(meta, dict):
             raise ValidationError("meta is an object", meta)
@@ -115,11 +125,12 @@ class LatticeDocument:
             raise ValidationError(
                 "document closed_sets are in canonical order", self.closed_sets
             )
-        images = {}
-        for i, target in enumerate(self.ortho_elements):
-            if not 0 <= target < len(order):
-                raise ValidationError("orthocomplement indices in range", target)
-            images[order[i]] = order[target]
+        targets = self.ortho_elements
+        if targets and not (0 <= min(targets) and max(targets) < len(order)):
+            for target in targets:
+                if not 0 <= target < len(order):
+                    raise ValidationError("orthocomplement indices in range", target)
+        images = dict(zip(order, map(order.__getitem__, targets)))
         return lat, validate_ortho(lat, images)
 
 
@@ -225,7 +236,7 @@ def to_dot(lattice: Lattice, name: str = "lattice") -> str:
     for i, m in enumerate(lattice.closed_sets):
         label = lattice.label_of(m).replace('"', r"\"")
         lines.append(f'  n{i} [label="{label}"];')
-    for x, y in lattice.covers():
-        lines.append(f"  n{lattice.element_index(x)} -> n{lattice.element_index(y)};")
+    index = lattice.element_index
+    lines.extend(f"  n{index(x)} -> n{index(y)};" for x, y in lattice.covers())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -114,8 +114,10 @@ class Lattice:
         if not masks and mode == "validate":
             raise ValidationError("family is nonempty", ())
         top = full_mask(atom_count)
-        for m in masks:
-            _require_atoms(m, top)
+        # a mask holds only atoms of top exactly when 0 <= mask <= top
+        if masks and not (0 <= min(masks) and max(masks) <= top):
+            for m in masks:
+                _require_atoms(m, top)
         if mode == "complete":
             seeds = [*masks, 0, *(1 << a for a in range(atom_count))]
             masks = _kernels.close_under_intersection(seeds, top)
@@ -307,7 +309,7 @@ class Lattice:
             self.meet_irreducibles()
             sig, found = self._sig, self._mi_found
             below: dict[int, list[int]] = {x: [] for x in self.closed_sets}
-            for y in sorted(self.closed_sets, key=popcount):
+            for y in sorted(self.closed_sets, key=int.bit_count):
                 rank = popcount(sig[y])
                 for x, count in Counter(map(y.__and__, found)).items():
                     if x != y and count == popcount(sig[x]) - rank:
@@ -355,7 +357,7 @@ class Lattice:
             found: list[int] = []
             rows = [0] * self.atom_count
             sig: dict[int, int] = {}
-            for x in sorted(self.closed_sets, key=popcount, reverse=True):
+            for x in sorted(self.closed_sets, key=int.bit_count, reverse=True):
                 # the two loops are `holding` inline: calling it made this pass ~15 % slower
                 above = (1 << len(found)) - 1
                 rest = x
@@ -363,8 +365,9 @@ class Lattice:
                     low = rest & -rest
                     above &= rows[low.bit_length() - 1]
                     rest ^= low
+                # every meet-irreducible above x holds x, so acc stays x once it is
                 acc, rest = top, above
-                while rest:
+                while rest and acc != x:
                     low = rest & -rest
                     acc &= found[low.bit_length() - 1]
                     rest ^= low

@@ -192,7 +192,8 @@ class AutoGroup:
                 raise ValidationError(
                     "group members permute the lattice's atoms", u.perm
                 )
-            if not u.preserves(lattice):
+            # the identity preserves every lattice, and `_schreier_sims` sifts it away
+            if not u.is_identity() and not u.preserves(lattice):
                 raise ValidationError("group members are automorphisms of the lattice", u.perm)
             perms.append(u.perm)
         self._set_chain(lattice, _schreier_sims(lattice.atom_count, perms))

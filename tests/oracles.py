@@ -960,3 +960,68 @@ def close_then_validate(lattice_cls, atom_count: int, seeds, atom_labels=None):
         atom_count, family, mode="validate", atom_labels=atom_labels
     )
 
+
+
+# -- the document boundary, one element at a time ----------------------------
+#
+# `validate_ortho`, `LatticeDocument.from_dict`/`build` and
+# `Lattice.from_closed_family` check each law in one pass over the whole
+# family and name a witness only after that pass fails.  These are the
+# per-element loops they replaced; the laws and witnesses are named as the
+# library names them.
+
+
+def first_ortho_violation(closed_sets, n_atoms: int, images):
+    """(law, witness) of the first orthocomplementation law the element
+    map `images` breaks on the family `closed_sets` (masks in family
+    order), None if it keeps them all.  Each element is visited in family
+    order, law by law: totality (an image, and a member), involution,
+    order reversal over every pair x <= y, complement-meet, and
+    complement-join, which fails at x when some member other than the
+    full set holds x | x'."""
+    members = set(closed_sets)
+    top = (1 << n_atoms) - 1
+    for x in closed_sets:
+        if x not in images:
+            return "totality: every element has an image", _atoms(x)
+        if images[x] not in members:
+            return "totality: images are lattice elements", (_atoms(x), _atoms(images[x]))
+    for x in closed_sets:
+        if images[images[x]] != x:
+            return "involution", (_atoms(x), _atoms(images[x]))
+    for x in closed_sets:
+        for y in closed_sets:
+            if x & ~y == 0 and images[y] & ~images[x]:
+                return "order-reversal", (_atoms(x), _atoms(y))
+    for x in closed_sets:
+        if x & images[x]:
+            return "complement-meet", _atoms(x)
+    for x in closed_sets:
+        union = x | images[x]
+        if any(m != top and union & ~m == 0 for m in closed_sets):
+            return "complement-join", _atoms(x)
+    return None
+
+
+def first_bad_member(closed_sets, atom_count: int):
+    """The first member, as a tuple, of a document's `closed_sets` lists
+    holding an atom index that is not an int in 0..atom_count-1 (`type`
+    exact, so no bool or float), None if there is none."""
+    for s in closed_sets:
+        for a in s:
+            if type(a) is not int or not 0 <= a < atom_count:
+                return tuple(s)
+    return None
+
+
+def first_bad_mask(masks, atom_count: int):
+    """The witness of the first mask that is not a set of atoms
+    0..atom_count-1: the mask itself when it is negative, which has no
+    atom tuple, else the atom tuple of the mask, which holds a foreign
+    atom; None if every mask is such a set."""
+    for m in masks:
+        if m < 0:
+            return m
+        if m >> atom_count:
+            return _atoms(m)
+    return None

@@ -361,22 +361,33 @@ def test_witnesses_of_a_corrupted_product(prod22):
     )
 
 
-def test_passing_checks_build_no_witnesses(prod23, aut_mo2, aut_mo3, monkeypatch):
+def test_passing_checks_build_no_witnesses(prod23, aut_mo2, aut_mo3, mo3, tmp_path, monkeypatch):
     # P3 lists block atoms to do its work, not for a witness
     monkeypatch.setattr(
         seplat.axioms, "laterally_connected", lambda *args: ConnectivityResult(True)
     )
+    # the document boundary checks each law over the whole family and
+    # names a witness only after a failure; the documents are written first
+    mo4 = seplat.build_mo(4)
+    prod34 = seplat.aerts_product_sharp(*mo3, *mo4)
+    paths = [str(tmp_path / f"{name}.json") for name in ("prod", "mo3", "mo4")]
+    seplat.dump_product(paths[0], prod34)
+    seplat.dump_lattice(paths[1], *mo3)
+    seplat.dump_lattice(paths[2], *mo4)
+    images = dict(prod34.ortho.images)
     built = []
 
     def counted(mask):
         built.append(mask)
         return atoms_of(mask)
 
-    for module in (seplat.axioms, seplat.product):
+    for module in (seplat.axioms, seplat.product, seplat.io, seplat.ortho, seplat.lattice):
         monkeypatch.setattr(module, "atoms_of", counted)
     assert seplat.check_sproduct(prod23, aut_mo2, aut_mo3).passed
     assert seplat.lateral_join_check(prod23).passed
     assert seplat.sproduct_join_lemma_check(prod23).passed
+    assert len(seplat.load_product(*paths).base) == 952
+    assert seplat.validate_ortho(prod34.base, images).table == prod34.ortho.table
     assert built == []
 
 

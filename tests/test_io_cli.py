@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import seplat
 from seplat import io
-from seplat.cli import main
+from seplat.cli import build_parser, main
 from seplat.errors import OrthoViolation, ValidationError
 
 
@@ -176,6 +177,53 @@ def test_dot_export(mo2):
     assert text.count(" -> ") == len(list(mo2[0].covers()))
     for label in mo2[0].atom_labels:
         assert label in text
+
+
+# -- whole-document passes against the per-element reference -------------------
+#
+# `LatticeDocument.from_dict` and `build` check the types and ranges of all
+# indices at once and name a witness only after that check fails; law and
+# witness must be those of the per-element loop.
+
+
+def _document_violation(data):
+    try:
+        io.LatticeDocument.from_dict(data).build()
+    except ValidationError as e:
+        return e.law, e.witness
+    return None
+
+
+def _bad_values(value, bound):
+    """Replacements of the index `value`, below `bound`, that are not
+    indices: past the range, negative, a bool and a float."""
+    return [bound, -1, value == 0, float(value)]
+
+
+def test_document_index_witnesses_match_the_per_element_loop(mo2, prod22):
+    rng = random.Random(26)
+    for lat, om in (mo2, (prod22.base, prod22.ortho)):
+        good = io.LatticeDocument.from_lattice(lat, om).to_dict()
+        assert _document_violation(good) is None
+        members, ortho = good["closed_sets"], good["ortho_elements"]
+        for i in rng.sample(range(len(members)), min(len(members), 12)):
+            for j, atom in enumerate(members[i]):
+                for bad in _bad_values(atom, len(good["atoms"])):
+                    data = json.loads(json.dumps(good))
+                    data["closed_sets"][i][j] = bad
+                    want = oracles.first_bad_member(data["closed_sets"], len(data["atoms"]))
+                    assert want == tuple(data["closed_sets"][i])
+                    assert _document_violation(data) == ("members use atoms 0..atom_count-1", want)
+        for i in rng.sample(range(len(ortho)), min(len(ortho), 12)):
+            past, negative, boolean, real = _bad_values(ortho[i], len(ortho))
+            for bad, law in (
+                (past, "orthocomplement indices in range"),
+                (negative, "orthocomplement indices in range"),
+                (boolean, "ortho_elements lists element indices"),
+                (real, "ortho_elements lists element indices"),
+            ):
+                data = dict(good, ortho_elements=ortho[:i] + [bad] + ortho[i + 1 :])
+                assert _document_violation(data) == (law, bad)
 
 
 # -- command-line interface -----------------------------------------------------
@@ -464,6 +512,22 @@ def test_load_product_reads_indices_in_document_order(tmp_path, docs, capsys):
     assert back.h1 == want.h1 and back.h2 == want.h2
     assert main(["sproduct-check", path, docs["mo2"], docs["mo2"], "--T", "id"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_cli_calls_share_the_parser_but_not_the_options(tmp_path, docs, capsys):
+    assert build_parser() is build_parser()
+    report = tmp_path / "report.json"
+    assert main(["check", docs["mo2"], "--json", str(report)]) == 0
+    report.unlink()
+    assert main(["check", docs["mo2"]]) == 0
+    assert not report.exists()
+    out = tmp_path / "prod.json"
+    routes = []
+    for extra in (["--route", "sharp"], []):
+        assert main(["product", docs["mo2"], docs["mo2"], *extra, "-o", str(out)]) == 0
+        routes.append(json.loads(out.read_text())["meta"]["route"])
+    assert routes == ["sharp", "generators"]
+    capsys.readouterr()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -572,3 +572,24 @@ def test_covers_pair_matches_the_cover_relation(lat):
     for x in lat:
         for y in lat:
             assert lat.covers_pair(x, y) == ((x, y) in covers)
+
+
+# -- the atom range of outside masks, against the per-element loop -----------
+
+
+@pytest.mark.parametrize("mode", ["validate", "complete"])
+def test_mask_witnesses_match_the_per_element_loop(mo3, mode):
+    # `from_closed_family` checks the range of all masks by min and max and
+    # names the first offending one only after that check fails
+    lat = mo3[0]
+    n = lat.atom_count
+    bad = [-1, -(1 << n), 1 << n, lat.top | 1 << (n + 3)]
+    for i, j in itertools.product(range(0, len(lat), 5), repeat=2):
+        for first, second in itertools.product(bad, repeat=2):
+            masks = list(lat.closed_sets)
+            masks[i], masks[j] = first, second
+            with pytest.raises(ValidationError) as exc:
+                Lattice.from_closed_family(n, masks, mode=mode)
+            want = oracles.first_bad_mask(masks, n)
+            assert want is not None
+            assert (exc.value.law, exc.value.witness) == ("members use atoms 0..atom_count-1", want)

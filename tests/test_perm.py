@@ -181,3 +181,23 @@ def test_generators_must_be_automorphisms(mo2):
         )
     # every atom permutation of MO(2) is an automorphism
     assert AutoGroup(mo2[0], [Automorphism((1, 0, 2, 3))]).order == 2
+
+
+def test_identity_generators_are_not_checked(monkeypatch):
+    # the identity preserves every lattice, so only the others cost a check
+    fano = seplat.build_subspace_lattice(2, 3)
+    swap = Automorphism((1, 0, 2, 3, 4, 5, 6))
+    checked = []
+    real = seplat._kernels.family_preserved
+
+    def counted(perm, family, target):
+        checked.append(perm)
+        return real(perm, family, target)
+
+    monkeypatch.setattr(seplat._kernels, "family_preserved", counted)
+    assert AutoGroup.identity_only(fano).order == 1
+    assert checked == []
+    with pytest.raises(seplat.ValidationError) as exc:
+        AutoGroup(fano, [Automorphism.identity(7), swap])
+    assert exc.value.witness == swap.perm
+    assert checked == [swap.perm]
