@@ -322,6 +322,16 @@ def _check_embedding_morphism(
         )
 
 
+def _spanning_pairs(
+    product: ProductLattice, t1: AutoGroup, t2: AutoGroup
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs that generate t1 x t2, as permutation tuples: (g, id) for
+    each strong generator g of t1, then (id, g) for each of t2."""
+    id1 = tuple(range(product.left.atom_count))
+    id2 = tuple(range(product.right.atom_count))
+    return [(g.perm, id2) for g in t1.generators] + [(id1, g.perm) for g in t2.generators]
+
+
 def check_sproduct(
     product: ProductLattice,
     t1: AutoGroup,
@@ -352,17 +362,16 @@ def check_sproduct(
         (p1, p2) -> (u1 p1, u2 p2) of the base that preserves the closed
         family, checked by `_kernels.family_preserved` on the base's
         meet-irreducibles, which the permutation must map into the base
-        (equivalent; see `Lattice.meet_irreducibles`).  Only the pairs
-        (g, id) and (id, g) are evaluated, for g a strong generator of t1
-        or t2: when the pair maps permute every base atom, those that
-        pass are automorphisms of the base, which form a group, and every
-        pair is a product of them, so every pair passes.  `checked`
-        counts the pairs certified, |t1|·|t2|, not the maps evaluated.
-        When the base has other atoms than the pairs, or a generator pair
-        fails, every pair of members is evaluated in lexicographic order,
-        so the failures and their witnesses are those of the all-pairs
-        loop; a base with atoms beyond the pairs fails every pair, as its
-        top holds an atom no pair map reaches.
+        (equivalent; see `Lattice.meet_irreducibles`).  Only the spanning
+        pairs (g, id) and (id, g) are evaluated, for g a strong generator
+        of t1, then of t2: those that pass are automorphisms of the base,
+        which form a group, and every pair is a product of spanning pairs,
+        so P4 holds exactly when every spanning pair passes.  On a pass,
+        `checked` counts the pairs certified, |t1|·|t2|; on a failure, the
+        spanning pairs evaluated, and the failures are the failing
+        spanning pairs, in that order, each a member pair of t1 x t2.  A
+        base whose atom count is not n1·n2 fails with the one witness
+        (id, id) and no map evaluated, as no pair map permutes its atoms.
     P5: the atoms of the base are exactly the embedded atom meets.
     """
     base, left, right = product.base, product.left, product.right
@@ -417,27 +426,14 @@ def check_sproduct(
     rep.reports["P3"] = p3
 
     p4 = CheckReport("P4")
-    mi = base.meet_irreducibles()
-    beyond = base.atom_count > n1 * n2
-
-    def preserved(u1: tuple[int, ...], u2: tuple[int, ...]) -> bool:
-        if beyond:
-            return False
-        return _kernels.family_preserved(_pair_perm(u1, u2), mi, base)
-
-    id1, id2 = tuple(range(n1)), tuple(range(n2))
-    certified = (
-        base.atom_count == n1 * n2
-        and all(preserved(g.perm, id2) for g in t1.generators)
-        and all(preserved(id1, g.perm) for g in t2.generators)
-    )
-    if certified:
-        p4.checked = t1.order * t2.order
+    if base.atom_count != n1 * n2:
+        p4.record(False, (tuple(range(n1)), tuple(range(n2))))
     else:
-        members2 = tuple(t2)
-        for u1 in t1:
-            for u2 in members2:
-                p4.record(preserved(u1.perm, u2.perm), (u1.perm, u2.perm))
+        mi = base.meet_irreducibles()
+        for u1, u2 in _spanning_pairs(product, t1, t2):
+            p4.record(_kernels.family_preserved(_pair_perm(u1, u2), mi, base), (u1, u2))
+        if p4.passed:
+            p4.checked = t1.order * t2.order
     rep.reports["P4"] = p4
 
     p5 = CheckReport("P5")
@@ -602,10 +598,7 @@ def induced_pair_group(product: ProductLattice, t1: AutoGroup, t2: AutoGroup) ->
     automorphism of the base, as on a product whose pair maps do not
     preserve it.
     """
-    id1 = tuple(range(product.left.atom_count))
-    id2 = tuple(range(product.right.atom_count))
-    gens = [Automorphism(_pair_perm(g.perm, id2)) for g in t1.generators]
-    gens += [Automorphism(_pair_perm(id1, g.perm)) for g in t2.generators]
+    gens = [Automorphism(_pair_perm(u1, u2)) for u1, u2 in _spanning_pairs(product, t1, t2)]
     return AutoGroup(product.base, gens)
 
 

@@ -134,25 +134,31 @@ def build_subspace_lattice(q: int, d: int) -> Lattice:
     )
 
 
+# builder kind -> (parameter count, function of the parameters giving the
+# lattice and its orthocomplementation or None); `seplat build` reads its
+# kinds and parameter counts here
+BUILDERS = {
+    "mo": (1, build_mo),
+    "boolean": (1, build_boolean),
+    "subspace": (2, lambda q, d: (build_subspace_lattice(q, d), None)),
+    "two": (0, lambda: (build_two(), None)),
+}
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Recipe for a lattice: a builder name with parameters, or a file."""
+    """Recipe for a lattice: a builder kind of `BUILDERS` with its
+    parameters, or a file."""
 
     kind: str
     params: tuple = ()
     path: Optional[str] = None
 
     def build(self) -> tuple[Lattice, Optional[OrthoMap]]:
-        if self.kind == "mo":
-            return build_mo(*self.params)
-        if self.kind == "boolean":
-            return build_boolean(*self.params)
-        if self.kind == "subspace":
-            return build_subspace_lattice(*self.params), None
-        if self.kind == "two":
-            return build_two(), None
         if self.kind == "file":
             from .io import load_lattice_file
 
             return load_lattice_file(self.path)
-        raise ValidationError("unknown lattice kind", self.kind)
+        if self.kind not in BUILDERS:
+            raise ValidationError("unknown lattice kind", self.kind)
+        return BUILDERS[self.kind][1](*self.params)

@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from . import axioms, io, morphisms, ortho as ortho_mod, product as product_mod
-from .builders import LatticeSpec
+from .builders import BUILDERS, LatticeSpec
 from .errors import CharacterizationError, FactorizationError, SeplatError
 from .lattice import Lattice
 from .perm import AutoGroup
@@ -41,7 +41,7 @@ def _parse_covering(spec: Optional[str], lattice: Lattice) -> axioms.Covering:
 
 
 def _cmd_build(args) -> int:
-    wanted = {"mo": 1, "boolean": 1, "subspace": 2, "two": 0}[args.kind]
+    wanted = BUILDERS[args.kind][0]
     if len(args.params) != wanted:
         raise SeplatError(
             f"builder '{args.kind}' takes {wanted} parameter(s),"
@@ -174,9 +174,19 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_ortho_search(args) -> int:
+    limit = args.limit
+    if limit is not None and limit < 1:
+        raise SeplatError(f"--limit must be at least 1, got {limit}")
     lat, _ = io.load_lattice_file(args.file)
-    found = morphisms.enumerate_orthocomplementations(lat, limit=args.limit)
-    print(f"orthocomplementations: {len(found)}")
+    # one map past the limit tells a stopped search from an exhaustive one
+    found = morphisms.enumerate_orthocomplementations(
+        lat, limit=None if limit is None else limit + 1
+    )
+    if limit is not None and len(found) > limit:
+        found = found[:limit]
+        print(f"orthocomplementations: more than {limit} (stopped at --limit {limit})")
+    else:
+        print(f"orthocomplementations: {len(found)}")
     if args.output:
         docs = [
             io.LatticeDocument.from_lattice(
@@ -226,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a standard lattice and write it as JSON")
-    p.add_argument("kind", choices=["mo", "boolean", "subspace", "two"])
+    p.add_argument("kind", choices=list(BUILDERS))
     p.add_argument("params", nargs="*", help="builder parameters (e.g. n, or q d)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_build)
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ortho-search", help="search for orthocomplementations")
     p.add_argument("file")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=int, help="stop past this many maps (at least 1)")
     p.add_argument("-o", "--output", help="write found maps as a JSON document array")
     p.set_defaults(func=_cmd_ortho_search)
 

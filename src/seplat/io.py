@@ -197,21 +197,24 @@ def load_product(
     meta = doc.meta
     if meta.get("kind") != "product":
         raise ValidationError("document is a product (meta.kind)", meta.get("kind"))
-    if (
-        meta.get("left_atoms") != left.atom_count
-        or meta.get("right_atoms") != right.atom_count
-    ):
+    for key in ("left_atoms", "right_atoms"):
+        if type(meta.get(key)) is not int:
+            raise ValidationError(f"meta.{key} is an integer", meta.get(key))
+    if (meta["left_atoms"], meta["right_atoms"]) != (left.atom_count, right.atom_count):
         raise ValidationError(
             "factor atom counts match the product document",
-            (meta.get("left_atoms"), meta.get("right_atoms")),
+            (meta["left_atoms"], meta["right_atoms"]),
         )
+    route = meta.get("route", "external")
+    if route not in ("generators", "sharp", "external"):
+        raise ValidationError('meta.route is "generators", "sharp" or "external"', route)
     prod = ProductLattice(
         base=base,
         left=left,
         right=right,
         h1={},
         h2={},
-        route=meta.get("route", "external"),
+        route=route,
         ortho=ortho,
     )
     _attach_embeddings(prod)

@@ -449,6 +449,22 @@ def p4_all_pairs(product, t1, t2):
     return not failures, checked, failures
 
 
+def p4_spanning_pairs(product, gens1, gens2, t1, t2):
+    """(passed, checked, failures) of axiom P4 evaluated on the spanning
+    pairs only, (g, id) for each g of gens1, then (id, g) for each g of
+    gens2, which generate the groups whose members t1 and t2 list, read
+    off `p4_all_pairs` over those members: its report on a pass, and
+    otherwise one check per spanning pair and, in order, the spanning
+    pairs that it lists as failing."""
+    id1 = tuple(range(product.left.atom_count))
+    id2 = tuple(range(product.right.atom_count))
+    spanning = [(g.perm, id2) for g in gens1] + [(id1, g.perm) for g in gens2]
+    reference = p4_all_pairs(product, t1, t2)
+    if reference[0]:
+        return reference
+    return False, len(spanning), [p for p in spanning if p in reference[2]]
+
+
 def invariant_subsets_sweep(perms, n: int) -> list[int]:
     """Every nonempty atom mask A with u(A) ∩ A ∈ {u(A), ∅} for every
     permutation u, testing each mask against the whole list."""

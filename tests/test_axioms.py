@@ -391,10 +391,11 @@ def test_passing_checks_build_no_witnesses(prod23, aut_mo2, aut_mo3, mo3, tmp_pa
     assert built == []
 
 
-# P4 evaluates only the pairs (g, id) and (id, g) for the strong generators
-# g and falls back to every pair of members when the guard fails or one of
-# them fails; its report must equal the all-pairs reference over the
-# members of the generated groups in every case.
+# P4 evaluates only the spanning pairs (g, id) and (id, g) for the strong
+# generators g, passing or failing.  Its verdict must equal the all-pairs
+# reference over the members of the generated groups, its count too on a
+# pass, and on a failure its witnesses must be the failing spanning pairs
+# (`oracles.p4_spanning_pairs`).
 
 
 def _p4(prod, t1, t2):
@@ -402,9 +403,12 @@ def _p4(prod, t1, t2):
     return report.passed, report.checked, report.failures
 
 
-def _corrupted22(prod22):
-    sets = set(prod22.base.closed_sets) | {0b11}
-    return dataclasses.replace(prod22, base=Lattice.from_closed_family(16, sets))
+def _with_row_pair(prod):
+    """The product with the non-invariant two-atom set {0, 1} added to
+    its base."""
+    sets = set(prod.base.closed_sets) | {0b11}
+    base = Lattice.from_closed_family(prod.base.atom_count, sets)
+    return dataclasses.replace(prod, base=base)
 
 
 def _generated(lat, gens):
@@ -436,7 +440,7 @@ def test_p4_matches_all_pairs_on_random_member_lists(prod22, prod23, aut_mo2, au
     # members of the generated groups.  Aut(MO(3)) contributes one member,
     # so that its cyclic group keeps the reference small.
     rng = random.Random(11)
-    corrupted = _corrupted22(prod22)
+    corrupted = _with_row_pair(prod22)
     verdicts = set()
     for _ in range(8):
         for prod, g1, g2, most2 in (
@@ -448,21 +452,37 @@ def test_p4_matches_all_pairs_on_random_member_lists(prod22, prod23, aut_mo2, au
             t2, m2 = _generated(prod.right, _random_members(g2, rng, most2))
             assert [u.perm for u in t1] == [u.perm for u in m1]
             got = _p4(prod, t1, t2)
-            assert got == oracles.p4_all_pairs(prod, m1, m2)
+            assert got == oracles.p4_spanning_pairs(prod, t1.generators, t2.generators, m1, m2)
             verdicts.add(got[0])
     assert verdicts == {True, False}
 
 
 def test_p4_failures_on_a_corrupted_base_match_all_pairs(prod22, aut_mo2):
-    corrupted = _corrupted22(prod22)
+    corrupted = _with_row_pair(prod22)
     got = _p4(corrupted, aut_mo2, aut_mo2)
-    assert got == oracles.p4_all_pairs(corrupted, aut_mo2, aut_mo2)
-    assert got[1] == 576 and 0 < len(got[2]) < 576
+    gens = aut_mo2.generators
+    assert got == oracles.p4_spanning_pairs(corrupted, gens, gens, aut_mo2, aut_mo2)
+    assert got[1] == 2 * len(gens) == 12 and got[2]
+
+
+def test_p4_refutes_a_non_invariant_base_on_spanning_pairs(prod23, aut_mo2, aut_mo3):
+    # The all-pairs loop evaluates 17 280 pairs here, and 16 992 fail.
+    bad = _with_row_pair(prod23)
+    passed, checked, failures = _p4(bad, aut_mo2, aut_mo3)
+    spanning = len(aut_mo2.generators) + len(aut_mo3.generators)
+    assert not passed and checked == spanning == 21
+    assert 0 < len(failures) <= 21
+    for u1, u2 in failures:
+        pair = ([Automorphism(u1)], [Automorphism(u2)])
+        assert (u1 == tuple(range(4))) != (u2 == tuple(range(6)))
+        assert oracles.p4_all_pairs(bad, *pair) == (False, 1, [(u1, u2)])
 
 
 def test_p4_on_a_base_with_fewer_atoms_than_pairs(mo1):
-    # MO(1) x MO(1) has four pair atoms; this base has three, so the pair
-    # maps do not permute its atoms and every pair is evaluated.
+    # MO(1) x MO(1) has four pair atoms; this base has three, so no pair
+    # map permutes its atoms and P4 fails on (id, id) without evaluating
+    # one.  The reference reads each pair map on the three atoms only and
+    # passes (id, id), so with trivial groups its verdict differs.
     left, _ = mo1
     base = Lattice.from_closed_family(3, [0, 1, 2, 4, 7])
     h = {0: 0, 1: 1, 2: 2, 3: 7}
@@ -470,21 +490,26 @@ def test_p4_on_a_base_with_fewer_atoms_than_pairs(mo1):
     aut = seplat.enumerate_automorphisms(left)
     assert base.atom_count != prod.pair_count
     got = _p4(prod, aut, aut)
-    assert got == oracles.p4_all_pairs(prod, aut, aut)
-    assert got[1] == 4 and got[2]
+    assert got == (False, 1, [((0, 1), (0, 1))])
+    assert got[0] == oracles.p4_all_pairs(prod, aut, aut)[0]
+    trivial = AutoGroup(left, ())
+    assert _p4(prod, trivial, trivial) == got
+    assert oracles.p4_all_pairs(prod, trivial, trivial) == (True, 1, [])
 
 
 def test_p4_on_a_base_with_more_atoms_than_pairs(prod22, aut_mo2):
     # Atom 16 joins every member of MO(2) x MO(2): no pair map reaches it,
-    # so every pair fails P4 (no raw IndexError), and P5 names the atom.
+    # so P4 fails on (id, id) without evaluating a map (no raw
+    # IndexError), and P5 names the atom.
     sets = set(prod22.base.closed_sets)
     sets |= {m | 1 << 16 for m in sets}
     bad = dataclasses.replace(prod22, base=Lattice.from_closed_family(17, sets))
     rep = seplat.check_sproduct(bad, aut_mo2, aut_mo2)
+    identity = (0, 1, 2, 3)
     got = _p4(bad, aut_mo2, aut_mo2)
-    assert got == oracles.p4_all_pairs(bad, aut_mo2, aut_mo2)
-    assert not got[0] and got[1] == len(got[2]) == 576
-    assert got[2][0] == ((0, 1, 2, 3), (0, 1, 2, 3))
+    assert got == (False, 1, [(identity, identity)])
+    reference = oracles.p4_all_pairs(bad, aut_mo2, aut_mo2)
+    assert not reference[0] and reference[2][0] == (identity, identity)
     assert rep.reports["P5"].failures == [[(16,)]]
 
 
@@ -495,6 +520,25 @@ def test_p4_with_an_empty_member_list(prod22, aut_mo2):
     for t1, t2, pairs in ((empty, aut_mo2, 24), (aut_mo2, empty, 24), (empty, empty, 1)):
         got = _p4(prod22, t1, t2)
         assert got == oracles.p4_all_pairs(prod22, t1, t2) == (True, pairs, [])
+
+
+def test_no_check_lists_group_members(
+    monkeypatch, mo2, mo3, prod23, aut_mo2, aut_mo3
+):
+    # Every check reads a group off its generators and stabilizer chain.
+    def listed(group):
+        raise AssertionError("a check listed the members of a group")
+
+    monkeypatch.setattr(AutoGroup, "__iter__", listed)
+    induced = induced_pair_group(prod23, aut_mo2, aut_mo3)
+    assert seplat.check_sproduct(prod23, aut_mo2, aut_mo3).passed
+    report = seplat.check_sproduct(_with_row_pair(prod23), aut_mo2, aut_mo3)
+    assert not report.reports["P4"].passed
+    assert seplat.strongly_transitive(mo2[0], aut_mo2)
+    assert seplat.strongly_transitive(mo3[0], aut_mo3)
+    tags = seplat.classify_invariant_subsets(prod23, induced).tags()
+    assert "unexpected" not in tags
+    assert seplat.characterize(prod23).steps
 
 
 def _corrupt(h, base, factor, rng):
@@ -730,6 +774,6 @@ def test_induced_pair_group_rejects_maps_off_the_base(prod22, aut_mo2):
     # the extra two-set {(0,0), (0,1)} is moved off the base by a left
     # generator that moves atom 0
     with pytest.raises(ValidationError) as exc:
-        seplat.induced_pair_group(_corrupted22(prod22), aut_mo2, aut_mo2)
+        seplat.induced_pair_group(_with_row_pair(prod22), aut_mo2, aut_mo2)
     assert exc.value.law == "group members are automorphisms of the lattice"
     assert seplat.induced_pair_group(prod22, aut_mo2, aut_mo2).order == 576

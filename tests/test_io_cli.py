@@ -10,6 +10,7 @@ import pytest
 import oracles
 import seplat
 from seplat import io
+from seplat.builders import BUILDERS, LatticeSpec
 from seplat.cli import build_parser, main
 from seplat.errors import OrthoViolation, ValidationError
 
@@ -124,6 +125,43 @@ def test_load_product_rejects_wrong_factors(tmp_path, prod22, mo2, mo3):
         io.load_product(ppath, good, bad)
     with pytest.raises(ValidationError):
         io.load_product(good, good, good)  # not a product document
+
+
+def test_load_product_checks_the_route_and_the_atom_counts(tmp_path, docs, two, mo2, capsys):
+    path = str(tmp_path / "edited.json")
+
+    def edited(source, **meta):
+        """`source` with the given meta fields set, or dropped for None."""
+        data = json.loads(Path(source).read_text())
+        data["meta"].update(meta)
+        data["meta"] = {k: v for k, v in data["meta"].items() if v is not None}
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+
+    # an absent route is an external one
+    for route, read in (("generators",) * 2, ("sharp",) * 2, ("external",) * 2, (None, "external")):
+        edited(docs["prod"], route=route)
+        assert io.load_product(path, docs["mo2"], docs["mo2"]).route == read
+    for route in (5, ["x"], "bogus", ""):
+        edited(docs["prod"], route=route)
+        with pytest.raises(ValidationError) as exc:
+            io.load_product(path, docs["mo2"], docs["mo2"])
+        assert exc.value.law.startswith("meta.route is") and exc.value.witness == route
+        assert main(["characterize", path, docs["mo2"], docs["mo2"]]) == 2
+        assert "meta.route" in capsys.readouterr().err
+    # true and 2.0 compare equal to 1 and 2 but are no JSON integers
+    factor, product = str(tmp_path / "two.json"), str(tmp_path / "prod.json")
+    io.dump_lattice(factor, two)
+    io.dump_product(product, seplat.aerts_product_general(two, mo2[0]))
+    assert io.load_product(product, factor, docs["mo2"]).left.atom_count == 1
+    for key, value in (("left_atoms", True), ("right_atoms", 2.0), ("left_atoms", "1")):
+        edited(product, **{key: value})
+        with pytest.raises(ValidationError) as exc:
+            io.load_product(path, factor, docs["mo2"])
+        assert (exc.value.law, exc.value.witness) == (f"meta.{key} is an integer", value)
+    edited(product, right_atoms=None)
+    with pytest.raises(ValidationError, match="meta.right_atoms is an integer"):
+        io.load_product(path, factor, docs["mo2"])
 
 
 def test_malformed_documents_are_rejected(tmp_path, mo2):
@@ -257,6 +295,21 @@ def test_cli_build_and_check(tmp_path, capsys):
     text = capsys.readouterr().out
     for line in ("ortho: pass", "orthomodular: pass", "coatomistic: pass"):
         assert line in text
+
+
+def test_cli_builds_every_kind_of_the_builder_table(tmp_path, capsys):
+    # one parameter list per kind of `BUILDERS`, and the table's count of each
+    params = {"mo": ["2"], "boolean": ["3"], "subspace": ["2", "3"], "two": []}
+    assert set(params) == set(BUILDERS)
+    out = str(tmp_path / "built.json")
+    for kind, given in params.items():
+        assert len(given) == BUILDERS[kind][0]
+        assert main(["build", kind, *given, "-o", out]) == 0
+        want = LatticeSpec(kind, tuple(map(int, given))).build()
+        assert io.load_lattice_file(out) == want
+        assert io.load_document(out).meta == {"builder": kind, "params": list(map(int, given))}
+        assert main(["build", kind, *given, "1"]) == 2
+        assert f"builder '{kind}' takes {len(given)} parameter(s)" in capsys.readouterr().err
 
 
 def test_cli_build_rejects_bad_params(capsys):
@@ -397,14 +450,44 @@ def test_cli_aut(tmp_path, docs, mo3, prod23, capsys):
 
 
 def test_cli_ortho_search(tmp_path, docs, capsys):
+    # MO(2) has three orthocomplementations, so a limit of 2 stops the search
     out = str(tmp_path / "found.json")
     assert main(["ortho-search", docs["mo2"], "--limit", "2", "-o", out]) == 0
-    assert "orthocomplementations: 2" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "orthocomplementations: more than 2 (stopped at --limit 2)\n"
+    )
     docs_found = json.loads(Path(out).read_text())
     assert len(docs_found) == 2
     for payload in docs_found:
         lat, om = io.LatticeDocument.from_dict(payload).build()
         assert om is not None
+
+
+def test_cli_ortho_search_reads_a_stopped_search_apart(tmp_path, mo3, capsys):
+    # MO(3) has 15 orthocomplementations: a limit below that stops the
+    # search and says so, and a limit at or above it gives the exact count.
+    path, out = str(tmp_path / "mo3.json"), str(tmp_path / "found.json")
+    io.dump_lattice(path, *mo3)
+    full = seplat.enumerate_orthocomplementations(mo3[0])
+    assert len(full) == 15
+    for limit, line, written in (
+        ("1", "orthocomplementations: more than 1 (stopped at --limit 1)", 1),
+        ("5", "orthocomplementations: more than 5 (stopped at --limit 5)", 5),
+        ("14", "orthocomplementations: more than 14 (stopped at --limit 14)", 14),
+        ("15", "orthocomplementations: 15", 15),
+        ("16", "orthocomplementations: 15", 15),
+    ):
+        assert main(["ortho-search", path, "--limit", limit, "-o", out]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        found = [
+            io.LatticeDocument.from_dict(d).build()[1]
+            for d in json.loads(Path(out).read_text())
+        ]
+        assert found == full[:written]
+    for limit in ("0", "-3"):
+        assert main(["ortho-search", path, "--limit", limit, "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--limit must be at least 1, got {limit}" in captured.err
 
 
 def test_cli_characterize(docs, capsys):

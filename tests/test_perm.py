@@ -165,7 +165,7 @@ def test_p4_on_generators_matches_all_pairs(left, right, corrupt, prod22):
     m2 = [Automorphism(p) for p in oracles.generated_group(4, right)]
     report = seplat.check_sproduct(prod, t1, t2).reports["P4"]
     got = (report.passed, report.checked, report.failures)
-    assert got == oracles.p4_all_pairs(prod, m1, m2)
+    assert got == oracles.p4_spanning_pairs(prod, t1.generators, t2.generators, m1, m2)
 
 
 def test_generators_must_be_automorphisms(mo2):
