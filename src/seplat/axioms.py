@@ -19,7 +19,14 @@ from .bitset import atoms_of, full_mask, is_subset, iter_atoms, mask_of, popcoun
 from .errors import CoveringError, SizeCapError, ValidationError
 from .lattice import Lattice
 from .perm import Automorphism, AutoGroup
-from .product import CheckReport, ProductLattice, _pair_perm, _subset_pools, otimes
+from .product import (
+    CheckReport,
+    ProductLattice,
+    _embedding_verdicts,
+    _pair_perm,
+    _subset_pools,
+    otimes,
+)
 
 SWEEP_ATOM_CAP = 20
 
@@ -304,22 +311,24 @@ def _check_embedding_morphism(
     side: str,
     pool: list[tuple[int, ...]],
 ) -> None:
+    """P0 on one side: h is injective and total, then keeps the meet and
+    the join of each subset in `pool`, recorded meet first, subset by
+    subset, off `_embedding_verdicts`."""
     values = list(h.values())
     report.record(len(set(values)) == len(values), (side, "injective"))
     report.record(set(h.keys()) == set(factor.closed_sets), (side, "total"))
-    for omega in pool:
-        want_meet = h[factor.meet(omega)]
-        got_meet = base.meet([h[x] for x in omega])
-        report.record(
-            want_meet == got_meet,
-            lambda: (side, "meet", [atoms_of(x) for x in omega]),
-        )
-        want_join = h[factor.join(omega)]
-        got_join = base.join([h[x] for x in omega])
-        report.record(
-            want_join == got_join,
-            lambda: (side, "join", [atoms_of(x) for x in omega]),
-        )
+    # the empty meet, top, is the first image the subsets ask for
+    h[factor.top]
+    meets, joins = _embedding_verdicts(base, factor, h, pool)
+    if meets is None and joins is None:
+        report.checked += 2 * len(pool)
+        return
+    for k, omega in enumerate(pool):
+        for verdicts, law in ((meets, "meet"), (joins, "join")):
+            report.record(
+                verdicts is None or verdicts[k],
+                lambda: (side, law, [atoms_of(x) for x in omega]),
+            )
 
 
 def _spanning_pairs(
@@ -346,13 +355,20 @@ def check_sproduct(
         plus seeded random larger ones; the verdict is exact, because the
         pool holds the empty subset and every pair, and in a finite
         lattice binary and empty meets and joins determine all others
-        (associativity), so the random draws can never change it.
+        (associativity), so the random draws can never change it.  The
+        meets and joins are ANDs of element codes that hold the masks and
+        the meet-irreducible signatures (`_embedding_verdicts`): a law
+        that the empty subset and every pair keep is recorded as kept on
+        the whole pool, and only a law that fails is evaluated subset by
+        subset, meet before join, for the witnesses.
     P1: the embedded meet of two factor atoms is an atom of the base.
     P2: that atom lies under h1(a1) v h2(a2) iff p1 <= a1 or p2 <= a2.
-        When every embedded atom meet of (p1, p2) is the pair atom
-        p1·n2 + p2, the checks of one pair (a1, a2) all pass exactly when
-        the pair atoms under h1(a1) v h2(a2) are the cross
-        A(a1) x A(L2) u A(L1) x A(a2), so one mask comparison per pair
+        Each join h1(a1) v h2(a2) is the member with the AND of the two
+        images' signatures.  When every embedded atom meet of (p1, p2) is
+        the pair atom p1·n2 + p2, the checks of one pair (a1, a2) all
+        pass exactly when the pair atoms under that join are the cross
+        A(a1) x A(L2) u A(L1) x A(a2), the union of two rectangles taken
+        once per factor element, so one mask comparison per pair
         (a1, a2) decides them; `checked` then counts the checks
         certified, n1·n2·|L1|·|L2|.  Otherwise every check is evaluated,
         atom pair by atom pair, so the failures and their witnesses are
@@ -398,25 +414,29 @@ def check_sproduct(
     rep.reports["P1"] = p1
 
     p2 = CheckReport("P2")
-    join_cache = {}
-    for a1 in left.closed_sets:
-        for a2 in right.closed_sets:
-            join_cache[(a1, a2)] = base.join((product.h1[a1], product.h2[a2]))
+    # h1(a1) v h2(a2) off the signatures, a1 major, and the cross of (a1, a2)
+    sig, member = base.signatures()
+    sigs1 = [sig[product.h1[a1]] for a1 in left.closed_sets]
+    sigs2 = [sig[product.h2[a2]] for a2 in right.closed_sets]
+    joins = [member[s1 & s2] for s1 in sigs1 for s2 in sigs2]
+    rects1 = [product.rect(a1, right.top) for a1 in left.closed_sets]
+    rects2 = [product.rect(left.top, a2) for a2 in right.closed_sets]
     pairs = full_mask(n1 * n2)
-    certified = all(m == 1 << k for k, m in enumerate(meets)) and all(
-        join & pairs == product.cross(a1, a2) for (a1, a2), join in join_cache.items()
-    )
+    certified = all(m == 1 << k for k, m in enumerate(meets)) and [
+        join & pairs for join in joins
+    ] == [r1 | r2 for r1 in rects1 for r2 in rects2]
     if certified:
-        p2.checked = n1 * n2 * len(join_cache)
+        p2.checked = n1 * n2 * len(joins)
     else:
         for i in range(n1):
             for j in range(n2):
                 atom = meets[i * n2 + j]
+                cells = iter(joins)
                 for a1 in left.closed_sets:
                     below1 = is_subset(1 << i, a1)
                     for a2 in right.closed_sets:
                         want = below1 or is_subset(1 << j, a2)
-                        got = is_subset(atom, join_cache[(a1, a2)])
+                        got = is_subset(atom, next(cells))
                         p2.record(got == want, lambda: (i, j, atoms_of(a1), atoms_of(a2)))
     rep.reports["P2"] = p2
 

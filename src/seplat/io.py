@@ -36,6 +36,10 @@ class LatticeDocument:
         ortho: Optional[OrthoMap] = None,
         meta: Optional[dict] = None,
     ) -> "LatticeDocument":
+        """The document of `lattice` and its orthocomplementation, if any;
+        ValidationError for a map of another lattice."""
+        if ortho is not None and ortho.lattice != lattice:
+            raise ValidationError("ortho map belongs to the lattice")
         atoms = list(lattice.atom_labels or (str(i) for i in range(lattice.atom_count)))
         closed = [list(atoms_of(m)) for m in lattice.closed_sets]
         ortho_elements = None

@@ -33,6 +33,24 @@ def _require_atoms(mask: int, top: int) -> None:
         raise ValidationError("members use atoms 0..atom_count-1", atoms_of(mask))
 
 
+class _BySignature(dict):
+    """Signature -> member, the inverse of the signature map of
+    `Lattice.meet_irreducibles`.  A signature that no member has, which
+    only arises on a bare `Lattice` that was never validated, reads as the
+    meet of the meet-irreducibles whose found-order indices are its bits
+    (top for none)."""
+
+    __slots__ = ("found", "atom_count")
+
+    def __init__(self, sig: dict[int, int], found: tuple[int, ...], atom_count: int):
+        super().__init__((v, k) for k, v in sig.items())
+        self.found = found
+        self.atom_count = atom_count
+
+    def __missing__(self, sig: int) -> int:
+        return holding(self.found, sig, self.atom_count)
+
+
 class Lattice:
     """A finite complete atomistic lattice.
 
@@ -236,17 +254,15 @@ class Lattice:
         AND of the signatures, and the member that is their meet, the
         join, has exactly that signature.  A signature that no member has
         only arises on a bare `Lattice` that was never validated; the
-        join is then the meet of those meet-irreducibles (`_member`)."""
-        if self._sig is None:
-            self.meet_irreducibles()
-        sig = self._sig
+        join is then the meet of those meet-irreducibles (`_BySignature`)."""
+        sig, member = self.signatures()
         sel = (1 << len(self._mi_found)) - 1
         for x in xs:
             try:
                 sel &= sig[x]
             except KeyError:
                 raise ForeignElementError(x) from None
-        return self._member(sel)
+        return member[sel]
 
     def closure(self, raw: int) -> int:
         """Smallest closed superset of an arbitrary set of the lattice's
@@ -261,16 +277,7 @@ class Lattice:
         _require_atoms(raw, self.top)
         if self._atom_rows is None:
             self.meet_irreducibles()
-        return self._member(holding(self._atom_rows, raw, len(self._mi_found)))
-
-    def _member(self, sig: int) -> int:
-        """The member whose signature (see `meet_irreducibles`) is `sig`,
-        or, when no member has it, the meet of the meet-irreducibles whose
-        found-order indices are its bits (top for none)."""
-        try:
-            return self._by_sig[sig]
-        except KeyError:
-            return holding(self._mi_found, sig, self.atom_count)
+        return self._by_sig[holding(self._atom_rows, raw, len(self._mi_found))]
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << a for a in range(self.atom_count))
@@ -284,9 +291,8 @@ class Lattice:
         its only strict superset is top.  Conversely, a member z with
         m ⊊ z ⊊ top is the meet of the meet-irreducibles above it, at
         least one, and each lies strictly above m."""
-        mi = self.meet_irreducibles()
-        sig = self._sig
-        return tuple(m for m in mi if popcount(sig[m]) == 1)
+        sig, _ = self.signatures()
+        return tuple(m for m in self.meet_irreducibles() if popcount(sig[m]) == 1)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs (x, y) with y covering x, in family order: by x,
@@ -306,8 +312,8 @@ class Lattice:
         visited by popcount, then family index, and appended to a bucket
         per x, which gives the order above."""
         if self._covers is None:
-            self.meet_irreducibles()
-            sig, found = self._sig, self._mi_found
+            sig, _ = self.signatures()
+            found = self._mi_found
             below: dict[int, list[int]] = {x: [] for x in self.closed_sets}
             for y in sorted(self.closed_sets, key=int.bit_count):
                 rank = popcount(sig[y])
@@ -386,8 +392,22 @@ class Lattice:
             self._mi_found = tuple(found)
             self._atom_rows = rows
             self._sig = sig
-            self._by_sig = {v: k for k, v in sig.items()}
+            self._by_sig = _BySignature(sig, self._mi_found, self.atom_count)
         return self._meet_irreducibles
+
+    def signatures(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(sig, member): each member's signature (see
+        `meet_irreducibles`), and the member with a given signature.
+
+        The join of members is the member whose signature is the AND of
+        theirs (see `join`), so a caller reads joins off these two maps
+        with ANDs and lookups.  When the family is closed under
+        intersection, as every lattice `from_closed_family` builds is,
+        every AND of signatures is a member's signature.  The maps are the
+        lattice's own and must not be changed."""
+        if self._sig is None:
+            self.meet_irreducibles()
+        return self._sig, self._by_sig
 
     def is_closure_of(self, seeds: Iterable[int]) -> bool:
         """True iff closing `seeds` under intersection, with top added,

@@ -127,8 +127,7 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
         for x in fam:
             if x & images[x]:
                 raise OrthoViolation("complement-meet", atoms_of(x))
-    lattice.meet_irreducibles()
-    sig = lattice._sig
+    sig, _ = lattice.signatures()
     if any(map(int.__and__, map(sig.__getitem__, fam), map(sig.__getitem__, img))):
         top = lattice.top
         for x in fam:

@@ -11,13 +11,14 @@ rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .bitset import atoms_of, is_subset, iter_atoms
-from .errors import ValidationError
+from .errors import ForeignElementError, ValidationError
 from .lattice import Lattice
 from .ortho import AtomOrthogonality, OrthoMap, closure_from_orthogonality
 
@@ -185,8 +186,10 @@ def sharp_relation(
 ) -> AtomOrthogonality:
     """Pair atoms are orthogonal iff their left components are orthogonal
     in the left factor or their right components are in the right factor.
-    The result is validated: it is symmetric, anti-reflexive and
-    separating whenever the factor maps are valid orthocomplementations.
+    The relation is symmetric, anti-reflexive and separating whenever the
+    factor maps are valid orthocomplementations.  It is not validated
+    here: `closure_from_orthogonality`, which `aerts_product_sharp` builds
+    the product with, validates it and raises RelationError.
     ValidationError, witness the side, for a map of another lattice."""
     for lat, ortho, side in ((left, ortho1, "left"), (right, ortho2, "right")):
         if ortho.lattice != lat:
@@ -198,9 +201,7 @@ def sharp_relation(
         for j in range(n2):
             perp2 = ortho2(1 << j)
             polars.append(_cross(left, right, perp1, perp2))
-    rel = AtomOrthogonality(n1 * n2, polars)
-    rel.validate()
-    return rel
+    return AtomOrthogonality(n1 * n2, polars)
 
 
 def aerts_product_sharp(
@@ -279,44 +280,115 @@ class CheckReport:
             self.failures.append(witness() if callable(witness) else witness)
 
 
+def _embedding_verdicts(
+    base: Lattice, factor: Lattice, h: dict, pool: list[tuple[int, ...]]
+) -> tuple[Optional[list[bool]], Optional[list[bool]]]:
+    """Whether the embedding h of `factor` into `base` keeps the meet of
+    each subset in `pool`, and whether it keeps its join: two lists of
+    verdicts in pool order, either one None when h keeps that law on
+    every subset.
+
+    Each element x gets one code per law, and a subset's code is the AND
+    of its elements' codes, all ones for the empty subset.  The meet code
+    is x | h(x) << w, w the factor's atom count, so a subset's code holds
+    its meet and the meet of its images, and h keeps that meet exactly
+    when the code is an element's code.  The join code is
+    sig(x) | sig(h(x)) << v, v the number of the factor's
+    meet-irreducibles, so a subset's code holds the signatures of its join
+    and of the join of its images (see `Lattice.signatures`), and h keeps
+    that join exactly when the code is an element's code.
+
+    The empty subset and the pairs determine every other meet and join
+    by associativity, so a law that they all keep holds on every subset
+    and its subsets are not evaluated.  The images are read first, in
+    factor order, so the exception is the first one that evaluating a
+    pool that starts with the empty subset and the singletons meets:
+    KeyError for an element that h misses, ForeignElementError for an
+    image outside the base."""
+    sig, _ = base.signatures()
+    fsig, _ = factor.signatures()
+    w, v = factor.atom_count, len(factor.meet_irreducibles())
+    meet_code, join_code = {}, {}
+    for x in factor.closed_sets:
+        y = h[x]
+        if y not in sig:
+            raise ForeignElementError(y)
+        meet_code[x] = x | y << w
+        join_code[x] = fsig[x] | sig[y] << v
+    widths = (w + base.atom_count, v + len(base.meet_irreducibles()))
+    out = []
+    for code, width in zip((meet_code, join_code), widths):
+        empty = (1 << width) - 1
+        codes = set(code.values())
+        pairs = itertools.starmap(int.__and__, itertools.combinations(code.values(), 2))
+        if empty in codes and codes.issuperset(pairs):
+            out.append(None)
+        else:
+            out.append(
+                [functools.reduce(int.__and__, map(code.__getitem__, omega), empty) in codes
+                 for omega in pool]
+            )
+    return out[0], out[1]
+
+
 def lateral_join_check(product: ProductLattice) -> CheckReport:
     """Verify the lateral join formulas on every atom pair and join
     preservation of the embeddings on element subsets.
 
     Lateral joins: for atoms p1 and distinct atoms p2, q2 of the right
     factor, (p1 x p2) v (p1 x q2) = {p1} x A(p2 v q2); symmetrically on
-    the left.  Embedding joins: h(join of a subset) = join of the images,
-    exhaustively up to `SUBSET_CAP` elements and on `SUBSET_SAMPLES`
-    seeded random larger subsets.  The verdict holds for every subset:
-    the empty join and binary joins determine all others (associativity),
-    so the random draws can never change it.
+    the left.  Each factor join is taken once per atom pair, and each
+    base join is read off the signatures of the two pair atoms (see
+    `Lattice.signatures`).  A pair atom outside the base raises
+    ForeignElementError for the first such atom in index order, which is
+    the first one that the atom pairs meet in loop order.
+
+    Embedding joins: h(join of a subset) = join of the images, on the
+    P0 subset pools, evaluated by `_embedding_verdicts`: exhaustively up
+    to `SUBSET_CAP` elements and on `SUBSET_SAMPLES` seeded random larger
+    subsets.  The verdict holds for every subset: the empty join and
+    binary joins determine all others (associativity), so the random
+    draws can never change it.
     """
     report = CheckReport("lateral-join")
     base, left, right = product.base, product.left, product.right
     n1, n2 = left.atom_count, right.atom_count
+    sig, member = base.signatures()
+    atom_sigs = [sig.get(1 << k) for k in range(n1 * n2)]
+    if None in atom_sigs and max(n1, n2) > 1:
+        raise ForeignElementError(1 << atom_sigs.index(None))
+    right_joins = [
+        (j, k, right.join((1 << j, 1 << k))) for j in range(n2) for k in range(j + 1, n2)
+    ]
+    # the column {p1 v q1} x {0}, shifted by j below
+    left_joins = [
+        (i, k, _rect(left.join((1 << i, 1 << k)), 1, n2))
+        for i in range(n1)
+        for k in range(i + 1, n1)
+    ]
+    failures = report.failures
     for i in range(n1):
-        for j in range(n2):
-            for k in range(j + 1, n2):
-                got = base.join((1 << (i * n2 + j), 1 << (i * n2 + k)))
-                want = product.rect(1 << i, right.join(((1 << j), (1 << k))))
-                report.record(got == want, lambda: ("right", i, j, k, atoms_of(got)))
+        row = atom_sigs[i * n2 : (i + 1) * n2]
+        for j, k, want in right_joins:
+            got = member[row[j] & row[k]]
+            if got != want << (i * n2):
+                failures.append(("right", i, j, k, atoms_of(got)))
     for j in range(n2):
-        for i in range(n1):
-            for k in range(i + 1, n1):
-                got = base.join((1 << (i * n2 + j), 1 << (k * n2 + j)))
-                want = product.rect(left.join(((1 << i), (1 << k))), 1 << j)
-                report.record(got == want, lambda: ("left", j, i, k, atoms_of(got)))
+        column = atom_sigs[j::n2]
+        for i, k, want in left_joins:
+            got = member[column[i] & column[k]]
+            if got != want << j:
+                failures.append(("left", j, i, k, atoms_of(got)))
+    report.checked = n1 * len(right_joins) + n2 * len(left_joins)
 
-    left_pool, right_pool = _subset_pools(left.closed_sets, right.closed_sets)
-
-    def check_embedding(lat, h, side, pool):
-        for omega in pool:
-            got = base.join([h[x] for x in omega])
-            want = h[lat.join(omega)]
-            report.record(got == want, lambda: (side, [atoms_of(x) for x in omega]))
-
-    check_embedding(left, product.h1, "h1", left_pool)
-    check_embedding(right, product.h2, "h2", right_pool)
+    pools = _subset_pools(left.closed_sets, right.closed_sets)
+    for lat, h, side, pool in zip((left, right), (product.h1, product.h2), ("h1", "h2"), pools):
+        _, joins = _embedding_verdicts(base, lat, h, pool)
+        if joins is None:
+            report.checked += len(pool)
+            continue
+        for omega, ok in zip(pool, joins):
+            report.record(ok, lambda: (side, [atoms_of(x) for x in omega]))
     return report
 
 
@@ -327,10 +399,46 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
     contains exactly those two atoms.  Second: for factor atoms p1 <= a1
     and p2 <= a2, (p1 x a2) v (a1 x p2) has atom set
     {p1} x A(a2) u A(a1) x {p2}.
+
+    Each check says that the join of two members is their union.  The
+    join is the smallest member holding the union, so it is the union
+    exactly when the union is a member.  All the unions, which include
+    every operand, are tested against the member set in one pass; when
+    every one is a member, every check passes, and `checked` is their
+    number.  Only a
+    failed pass runs the per-check loop, which takes each join with
+    `Lattice.join`, builds the witnesses, and raises ForeignElementError
+    for the first operand outside the base.
     """
     report = CheckReport("join-lemma")
     base, left, right = product.base, product.left, product.right
     n1, n2 = left.atom_count, right.atom_count
+    # the two-atom checks, each union taken once for its two orders
+    lines = [[1 << (i * n2 + j) for j in range(n2)] for i in range(n1)]
+    skew = [
+        p | q
+        for line_i, line_k in itertools.combinations(lines, 2)
+        for j, p in enumerate(line_i)
+        for l, q in enumerate(line_k)
+        if j != l
+    ]
+    # the atom-set checks: row {i} x A(a2) and column A(a1) x {j}.  The
+    # factors hold their singletons, so every operand of a check is itself
+    # a union tested here: the atom (i, j), the row and the column are the
+    # unions with a1 = {i} and a2 = {j}, with a1 = {i}, and with a2 = {j}.
+    ups1 = [[a1 for a1 in left.closed_sets if a1 >> i & 1] for i in range(n1)]
+    ups2 = [[a2 for a2 in right.closed_sets if a2 >> j & 1] for j in range(n2)]
+    column0 = {a1: _rect(a1, 1, n2) for a1 in left.closed_sets}
+    unions = []
+    for i, a1s in enumerate(ups1):
+        for j, a2s in enumerate(ups2):
+            columns = [column0[a1] << j for a1 in a1s]
+            rows = [a2 << (i * n2) for a2 in a2s]
+            unions += [row | column for column in columns for row in rows]
+    sig, _ = base.signatures()  # keyed by the members
+    if all(map(sig.__contains__, itertools.chain(skew, unions))):
+        report.checked = 2 * len(skew) + len(unions)
+        return report
     for i in range(n1):
         for k in range(n1):
             if i == k:

@@ -1041,3 +1041,111 @@ def first_bad_mask(masks, atom_count: int):
         if m >> atom_count:
             return _atoms(m)
     return None
+
+
+# -- the join checks, one check at a time --------------------------------------
+#
+# `lateral_join_check`, `sproduct_join_lemma_check` and P0 of
+# `check_sproduct` decide their checks on the meet-irreducible signatures
+# and evaluate them one by one only after a failure (`p2_per_atom` above
+# is the per-check P2).  These are the per-check loops they replaced, each
+# join taken as the closure of the union (`join_by_closure`).  `pools` is
+# the pair of subset pools the library draws, as the pools are part of
+# what is checked.  Each returns (checked, failures), the failures in the
+# library's order with its witnesses.
+
+
+def lateral_joins_per_check(product, pools):
+    """The lateral joins (p1 x p2) v (p1 x q2) = {p1} x A(p2 v q2), right
+    side first, then left, then join preservation of h1 and h2 on their
+    pools."""
+    base, left, right = product.base, product.left, product.right
+    n1, n2 = left.atom_count, right.atom_count
+    checked, failures = 0, []
+    for i in range(n1):
+        for j in range(n2):
+            for k in range(j + 1, n2):
+                got = join_by_closure(base, (1 << (i * n2 + j), 1 << (i * n2 + k)))
+                want = _rect_of(1 << i, join_by_closure(right, (1 << j, 1 << k)), n2)
+                checked += 1
+                if got != want:
+                    failures.append(("right", i, j, k, _atoms(got)))
+    for j in range(n2):
+        for i in range(n1):
+            for k in range(i + 1, n1):
+                got = join_by_closure(base, (1 << (i * n2 + j), 1 << (k * n2 + j)))
+                want = _rect_of(join_by_closure(left, (1 << i, 1 << k)), 1 << j, n2)
+                checked += 1
+                if got != want:
+                    failures.append(("left", j, i, k, _atoms(got)))
+    for lat, h, side, pool in zip((left, right), (product.h1, product.h2), ("h1", "h2"), pools):
+        for omega in pool:
+            got = join_by_closure(base, [h[x] for x in omega])
+            want = h[join_by_closure(lat, omega)]
+            checked += 1
+            if got != want:
+                failures.append((side, [_atoms(x) for x in omega]))
+    return checked, failures
+
+
+def join_lemma_per_check(product):
+    """The two join identities: two pair atoms differing in both
+    components join to their union, and (p1 x a2) v (a1 x p2) is
+    {p1} x A(a2) u A(a1) x {p2} for p1 <= a1 and p2 <= a2."""
+    base, left, right = product.base, product.left, product.right
+    n1, n2 = left.atom_count, right.atom_count
+    checked, failures = 0, []
+    for i in range(n1):
+        for k in range(n1):
+            for j in range(n2):
+                for l in range(n2):
+                    if i == k or j == l:
+                        continue
+                    p, q = 1 << (i * n2 + j), 1 << (k * n2 + l)
+                    got = join_by_closure(base, (p, q))
+                    checked += 1
+                    if got != p | q:
+                        failures.append(("two-atoms", (i, j), (k, l), _atoms(got)))
+    for i in range(n1):
+        for a1 in left.closed_sets:
+            if not a1 >> i & 1:
+                continue
+            for j in range(n2):
+                column = _rect_of(a1, 1 << j, n2)
+                for a2 in right.closed_sets:
+                    if not a2 >> j & 1:
+                        continue
+                    row = a2 << (i * n2)
+                    checked += 1
+                    if join_by_closure(base, (row, column)) != row | column:
+                        failures.append(("atom-sets", i, _atoms(a1), j, _atoms(a2)))
+    return checked, failures
+
+
+def p0_per_check(product, pools):
+    """Axiom P0 on h1, then h2: injective, total, then for each subset of
+    the side's pool, h of its meet is the meet of its images, then the
+    same for joins."""
+    base = product.base
+    base_top = (1 << base.atom_count) - 1
+    checked, failures = 0, []
+    sides = zip((product.left, product.right), (product.h1, product.h2), ("h1", "h2"), pools)
+    for factor, h, side, pool in sides:
+        values = list(h.values())
+        checked += 2
+        if len(set(values)) != len(values):
+            failures.append((side, "injective"))
+        if set(h) != set(factor.closed_sets):
+            failures.append((side, "total"))
+        for omega in pool:
+            meet, got_meet = (1 << factor.atom_count) - 1, base_top
+            for x in omega:
+                meet &= x
+                got_meet &= h[x]
+            checked += 1
+            if h[meet] != got_meet:
+                failures.append((side, "meet", [_atoms(x) for x in omega]))
+            checked += 1
+            if h[join_by_closure(factor, omega)] != join_by_closure(base, [h[x] for x in omega]):
+                failures.append((side, "join", [_atoms(x) for x in omega]))
+    return checked, failures

@@ -19,11 +19,12 @@ from seplat.axioms import (
     induced_pair_group,
 )
 from seplat.bitset import atoms_of, popcount
-from seplat.errors import CoveringError, SizeCapError, ValidationError
+from seplat.errors import CoveringError, ForeignElementError, SizeCapError, ValidationError
 from seplat.perm import Automorphism, AutoGroup
 from seplat.product import CheckReport, ProductLattice, _subset_pools
 
 import oracles
+from test_product import _with_base
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +584,112 @@ def test_p0_pool_verdict_equals_the_all_subsets_verdict(prod23):
         assert reports[0].passed == reports[1].passed
         verdicts.append(reports[1].passed)
     assert 20 < sum(verdicts) < 180  # both verdicts come up
+
+
+def _corrupted(prod, rng):
+    """A seeded corruption of a product: its base with up to two two-atom
+    sets added and up to two meet-irreducibles that no embedding hits
+    removed (either keeps the family closed under intersection), then h1
+    and h2 passed through `_corrupt` against that base."""
+    n = prod.base.atom_count
+    images = set(prod.h1.values()) | set(prod.h2.values())
+    removable = [
+        m for m in prod.base.meet_irreducibles() if popcount(m) > 1 and m not in images
+    ]
+
+    def change(sets):
+        for _ in range(rng.randint(0, 2)):
+            p, q = rng.sample(range(n), 2)
+            sets.add(1 << p | 1 << q)
+        sets.difference_update(rng.sample(removable, rng.randint(0, 2)))
+
+    bad = _with_base(prod, change)
+    h1 = _corrupt(prod.h1, bad.base, prod.left, rng)
+    h2 = _corrupt(prod.h2, bad.base, prod.right, rng)
+    return dataclasses.replace(bad, h1=h1, h2=h2)
+
+
+def test_join_checks_match_the_per_check_loops_on_corrupted_products(prod22, prod23):
+    # The join checks and P0 decide on signatures and loop over the checks
+    # only after a failure; `checked` and every failure, in order, must be
+    # those of the per-check references.
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(15):
+        for prod in (prod22, prod23):
+            bad = _corrupted(prod, rng)
+            pools = _subset_pools(bad.left.closed_sets, bad.right.closed_sets)
+            ident = AutoGroup.identity_only(bad.left), AutoGroup.identity_only(bad.right)
+            reports = seplat.check_sproduct(bad, *ident).reports
+            for name, report, reference in (
+                ("lateral", seplat.lateral_join_check(bad), oracles.lateral_joins_per_check(bad, pools)),
+                ("lemma", seplat.sproduct_join_lemma_check(bad), oracles.join_lemma_per_check(bad)),
+                ("P0", reports["P0"], oracles.p0_per_check(bad, pools)),
+                ("P2", reports["P2"], oracles.p2_per_atom(bad)),
+            ):
+                assert (report.checked, report.failures) == reference, name
+                outcomes.add((name, report.passed))
+    assert len(outcomes) == 8  # each check both passes and fails
+
+
+def test_join_checks_raise_as_the_per_check_loops(prod22, mo1):
+    # What the per-check loops raised on a base without a pair atom, on
+    # images outside the base and on embeddings that miss elements: the
+    # first offending mask or key in their loop order.  P0 reads top's
+    # image first (the empty meet), the lateral joins bottom's.
+    base3 = Lattice.from_closed_family(3, [0, 1, 2, 4, 7])
+    h = {0: 0, 1: 1, 2: 2, 3: 7}
+    small = ProductLattice(base3, mo1[0], mo1[0], h, dict(h), "external")
+    members = prod22.left.closed_sets
+    h1, h2 = dict(prod22.h1), dict(prod22.h2)
+    h1[members[2]] = 0b11
+    h2[members[3]], h2[members[1]] = 0b101, 0b1001
+    missing = dict(prod22.h2)
+    del missing[0], missing[prod22.right.top]
+
+    def raised(check, prod):
+        with pytest.raises((ForeignElementError, KeyError)) as exc:
+            check(prod)
+        err = exc.value
+        return type(err).__name__, err.mask if isinstance(err, ForeignElementError) else err.args[0]
+
+    def p0(prod):
+        seplat.check_sproduct(prod, AutoGroup(prod.left, ()), AutoGroup(prod.right, ()))
+
+    lateral, lemma = seplat.lateral_join_check, seplat.sproduct_join_lemma_check
+    assert raised(lateral, small) == raised(lemma, small) == ("ForeignElementError", 8)
+    for prod, want in (
+        (dataclasses.replace(prod22, h1=h1), ("ForeignElementError", 3)),
+        (dataclasses.replace(prod22, h2=h2), ("ForeignElementError", 9)),
+    ):
+        assert raised(lateral, prod) == raised(p0, prod) == want
+    bad = dataclasses.replace(prod22, h2=missing)
+    assert raised(lateral, bad) == ("KeyError", 0)
+    assert raised(p0, bad) == ("KeyError", 15)
+
+
+def test_join_checks_call_no_join_or_meet_on_the_base(prod23, monkeypatch):
+    # On a passing product the lateral joins, the join lemma and P0 read
+    # the base's joins off its signatures.
+    base, calls = prod23.base, []
+    for name in ("join", "meet"):
+
+        def counted(self, xs, method=getattr(Lattice, name), name=name):
+            if self is base:
+                calls.append(name)
+            return method(self, xs)
+
+        monkeypatch.setattr(Lattice, name, counted)
+    assert seplat.sproduct_join_lemma_check(prod23).passed
+    assert seplat.lateral_join_check(prod23).passed
+    report = CheckReport("P0")
+    pools = _subset_pools(prod23.left.closed_sets, prod23.right.closed_sets)
+    for factor, h, side, pool in zip(
+        (prod23.left, prod23.right), (prod23.h1, prod23.h2), ("h1", "h2"), pools
+    ):
+        _check_embedding_morphism(report, base, factor, h, side, pool)
+    assert report.passed and report.checked == 2 * (2 + len(pools[0]) + len(pools[1]))
+    assert calls == []
 
 
 # -- strong transitivity -------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and only the
+lattice module reads a lattice's signature attributes.
 
-No linter ships with the project, so this check reads each module's
-syntax tree with the standard-library `ast` module.  `__init__.py` is
-skipped, as its imports are the package's re-exports, and so is
+No linter ships with the project, so these checks read each module's
+syntax tree with the standard-library `ast` module.  The import check
+skips `__init__.py`, as its imports are the package's re-exports, and
 `from __future__`.
 """
 
@@ -42,3 +43,23 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the meet-irreducible signatures, which other modules read through
+# `Lattice.signatures`
+SIGNATURE_ATTRIBUTES = {"_sig", "_by_sig", "_mi_found"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "lattice.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_lattice_reads_its_signatures(path):
+    tree = ast.parse(path.read_text())
+    read = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SIGNATURE_ATTRIBUTES
+    ]
+    assert read == []

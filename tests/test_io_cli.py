@@ -1,5 +1,6 @@
 """JSON document round-trips, DOT export, and the command-line interface."""
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -34,6 +35,20 @@ def test_lattice_roundtrip_with_ortho(tmp_path, mo3):
     back, om_back = io.load_lattice_file(path)
     assert back == lat and om_back == om
     assert io.load_document(path).meta == {"note": "round-trip"}
+
+
+def test_dumping_a_map_of_another_lattice_is_refused(tmp_path, mo3):
+    # {0, 1} added to the MO(3) x MO(4) base leaves the product's ortho map
+    # on the old base
+    prod = seplat.aerts_product_sharp(*mo3, *seplat.build_mo(4))
+    sets = set(prod.base.closed_sets) | {0b11}
+    base = seplat.Lattice.from_closed_family(prod.base.atom_count, sets)
+    bad = dataclasses.replace(prod, base=base)
+    path = str(tmp_path / "bad.json")
+    for dump in (lambda: io.dump_product(path, bad), lambda: io.dump_lattice(path, base, prod.ortho)):
+        with pytest.raises(ValidationError) as exc:
+            dump()
+        assert exc.value.law == "ortho map belongs to the lattice"
 
 
 def test_dump_is_deterministic(tmp_path, mo2):

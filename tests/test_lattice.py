@@ -397,11 +397,11 @@ def test_signatures_mark_the_meet_irreducibles_above(data):
     # meet-irreducible found holds it, and the inverse dict reads it back
     n, masks = data
     lat = Lattice(n, masks)
-    lat.meet_irreducibles()
+    sig, member = lat.signatures()
     for x in lat:
         want = mask_of(k for k, m in enumerate(lat._mi_found) if x & ~m == 0)
-        assert lat._sig[x] == want
-        assert lat._by_sig[want] == x
+        assert sig[x] == want
+        assert member[want] == x
 
 
 @st.composite
@@ -513,6 +513,21 @@ def test_validate_refuses_a_wide_family_without_closing_it():
 def test_join_matches_the_closure_oracle(lat, data):
     xs = data.draw(st.lists(st.sampled_from(lat.closed_sets), max_size=3))
     assert lat.join(xs) == oracles.join_by_closure(lat, xs)
+
+
+@given(complete_lattices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_signature_ands_are_the_signatures_of_joins(lat, data):
+    # on a family closed under intersection the AND of members' signatures
+    # is a member's own signature, so the checks that read joins off it
+    # never reach the fallback
+    xs = data.draw(st.lists(st.sampled_from(lat.closed_sets), max_size=3))
+    sig, member = lat.signatures()
+    sel = (1 << len(lat.meet_irreducibles())) - 1
+    for x in xs:
+        sel &= sig[x]
+    assert sel in member.keys()
+    assert member[sel] == oracles.join_by_closure(lat, xs)
 
 
 @given(raw_families(), st.data())

@@ -9,6 +9,8 @@ import pytest
 import seplat
 from seplat import Lattice
 from seplat.bitset import atoms_of, popcount
+from seplat.errors import RelationError
+from seplat.ortho import OrthoMap
 from seplat.product import obar, otimes
 
 import oracles
@@ -246,3 +248,15 @@ def test_sharp_product_rejects_a_map_of_another_lattice(mo2):
                 side,
             )
     assert len(seplat.aerts_product_sharp(lat, om, lat, om).base) == 114
+
+
+def test_sharp_product_refuses_a_map_that_is_no_orthocomplementation(mo2):
+    # The sharp relation is validated once, where the product is closed.
+    # A bare OrthoMap sending every atom to top makes each pair atom
+    # orthogonal to itself.
+    lat, om = mo2
+    bare = OrthoMap(lat, {p: lat.top for p in lat.atoms()})
+    for args in ((lat, bare, lat, om), (lat, om, lat, bare)):
+        with pytest.raises(RelationError) as exc:
+            seplat.aerts_product_sharp(*args)
+        assert exc.value.law == "anti-reflexivity"
