@@ -355,6 +355,7 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
     n1, n2 = left.atom_count, right.atom_count
     sig, member = base.signatures()
     atom_sigs = [sig.get(1 << k) for k in range(n1 * n2)]
+    # with at most one atom on each side no atom pair is joined
     if None in atom_sigs and max(n1, n2) > 1:
         raise ForeignElementError(1 << atom_sigs.index(None))
     right_joins = [
