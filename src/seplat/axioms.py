@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from .bitset import atoms_of, full_mask, is_subset, iter_atoms, mask_of, popcount
-from .errors import CoveringError, SizeCapError, ValidationError
+from .errors import CoveringError, ForeignElementError, SizeCapError, ValidationError
 from .lattice import Lattice
 from .perm import Automorphism, AutoGroup
 from .product import (
@@ -78,8 +78,28 @@ class ConnectivityResult:
 
 
 def _third_atom(lattice: Lattice, p: int, q: int) -> bool:
-    """True iff the join of distinct atoms p, q holds a third atom."""
-    return popcount(lattice.join((p, q))) >= 3
+    """True iff the join of distinct atoms p, q holds a third atom.
+
+    The join is the member whose signature is the AND of theirs (see
+    `Lattice.signatures`).  ForeignElementError, as from `Lattice.join`,
+    for the first of p and q that is no member."""
+    sig, member = lattice.signatures()
+    try:
+        return popcount(member[sig[p] & sig[q]]) >= 3
+    except KeyError as err:
+        raise ForeignElementError(err.args[0]) from None
+
+
+def _third_atom_graph(lattice: Lattice) -> list[int]:
+    """The third-atom graph as one adjacency mask per atom: bit q of the
+    p-th mask is set iff q != p and `_third_atom` holds for p and q.
+    The pairs are tested in lexicographic order."""
+    adj = [0] * lattice.atom_count
+    for p, q in itertools.combinations(range(lattice.atom_count), 2):
+        if _third_atom(lattice, 1 << p, 1 << q):
+            adj[p] |= 1 << q
+            adj[q] |= 1 << p
+    return adj
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -104,7 +124,13 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
     lattice and the covering is connected: blocks of at least two atoms
     exhausting the atom set, a third atom under the join of any two atoms
     of a block, and any two atoms linked by a chain of blocks whose
-    consecutive members share at least two atoms."""
+    consecutive members share at least two atoms.
+
+    The join condition reads the third-atom graph (`_third_atom_graph`),
+    built once over every atom pair: block by block and atom p by atom p,
+    in ascending order, the first missing pair is (p, q) for the lowest
+    atom q > p of the block that is no neighbour of p, the witness that a
+    scan of the block's pairs would report first."""
     covering.validate_shape(lattice)
     n = lattice.atom_count
     if n < 2:
@@ -119,14 +145,15 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
         return ConnectivityResult(
             False, "blocks cover every atom", atoms_of(lattice.top & ~union)
         )
+    adj = _third_atom_graph(lattice)
     for b in blocks:
-        idx = atoms_of(b)
-        for i, p in enumerate(idx):
-            for q in idx[i + 1 :]:
-                if not _third_atom(lattice, 1 << p, 1 << q):
-                    return ConnectivityResult(
-                        False, "a third atom below the join of any block pair", (p, q)
-                    )
+        for p in iter_atoms(b):
+            missing = b >> (p + 1) << (p + 1) & ~adj[p]
+            if missing:
+                q = (missing & -missing).bit_length() - 1
+                return ConnectivityResult(
+                    False, "a third atom below the join of any block pair", (p, q)
+                )
     # chain condition: components of the block graph with overlap >= 2
     k = len(blocks)
     comp = list(range(k))
@@ -150,32 +177,22 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
 
 def refute_weak_connectedness(lattice: Lattice) -> bool:
     """Sound refutation: True means no connected covering can exist, for
-    any choice of blocks.  This holds when the lattice has fewer than two
-    atoms, or when no atom pair at all has a third atom under its join
-    (so no block of two or more atoms can satisfy the join condition).
-    False is inconclusive."""
-    n = lattice.atom_count
-    if n < 2:
-        return True
-    for p in range(n):
-        for q in range(p + 1, n):
-            if _third_atom(lattice, 1 << p, 1 << q):
-                return False
-    return True
+    any choice of blocks.  This holds when the third-atom graph
+    (`_third_atom_graph`) has no edge, as on fewer than two atoms: no atom
+    pair has a third atom under its join, so no block of two or more
+    atoms can satisfy the join condition.  False is inconclusive."""
+    return not any(_third_atom_graph(lattice))
 
 
 def find_connected_covering(lattice: Lattice) -> Optional[Covering]:
-    """Greedy heuristic: grow blocks as cliques of the third-atom graph.
-    Returns a covering that passes `weakly_connected`, or None.  A None
-    is never a refutation; use `refute_weak_connectedness` for that."""
+    """Greedy heuristic: grow blocks as cliques of the third-atom graph
+    (`_third_atom_graph`).  Returns a covering that passes
+    `weakly_connected`, or None.  A None is never a refutation; use
+    `refute_weak_connectedness` for that."""
     n = lattice.atom_count
     if n < 2:
         return None
-    adj = [0] * n
-    for p in range(n):
-        for q in range(n):
-            if p != q and _third_atom(lattice, 1 << p, 1 << q):
-                adj[p] |= 1 << q
+    adj = _third_atom_graph(lattice)
     single = Covering.single_block(lattice)
     if weakly_connected(lattice, single):
         return single
@@ -313,12 +330,11 @@ def _check_embedding_morphism(
 ) -> None:
     """P0 on one side: h is injective and total, then keeps the meet and
     the join of each subset in `pool`, recorded meet first, subset by
-    subset, off `_embedding_verdicts`."""
+    subset, off `_embedding_verdicts`, which raises ValidationError for
+    the first factor element that h misses."""
     values = list(h.values())
     report.record(len(set(values)) == len(values), (side, "injective"))
     report.record(set(h.keys()) == set(factor.closed_sets), (side, "total"))
-    # the empty meet, top, is the first image the subsets ask for
-    h[factor.top]
     meets, joins = _embedding_verdicts(base, factor, h, pool)
     if meets is None and joins is None:
         report.checked += 2 * len(pool)

@@ -14,6 +14,8 @@ the polar map is an orthocomplementation of it.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne, not_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bitset import atoms_of, holding, is_subset, iter_atoms
@@ -78,12 +80,17 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
     x v x' = top).  The join law is still checked so that every stated law
     is verified directly rather than by appeal to that argument.
 
-    Each law is checked in one pass over the whole family.  Only a failed
-    pass runs the per-element loop, which names the first witness in
-    family order.
+    Each law but order reversal is decided by one pass over the whole
+    family, which yields the elements that break it; the first of them is
+    the witness, the first in family order.  Order reversal is decided by
+    comparing the candidate with its meet extension, which names no pair,
+    so a failed comparison runs a loop over the element pairs for the
+    witness.
 
-    Complement-join is read off the signatures of `meet_irreducibles`:
-    x v x' = top exactly when sig(x) & sig(x') = 0.  The join is the
+    Totality reads the member set as the keys of the signature map (see
+    `Lattice.signatures`).  Complement-join is read off the signatures of
+    `meet_irreducibles`: x v x' = top exactly when sig(x) & sig(x') = 0,
+    so that AND is the check and no join is taken.  The join is the
     member whose signature is sig(x) & sig(x') (see `Lattice.join`), and
     top's signature is 0, as no meet-irreducible lies above top.  A
     nonzero selection names a member, or on a bare unvalidated `Lattice`
@@ -94,28 +101,25 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
     images = candidate.images if isinstance(candidate, OrthoMap) else dict(candidate)
     fam = lattice.closed_sets
     img = list(map(images.get, fam))
+    sig, _ = lattice.signatures()  # keyed by the members
     # a missing image reads None, which is no member either
-    if not lattice._index.keys() >= set(img):
-        for x in fam:
-            if x not in images:
-                raise OrthoViolation("totality: every element has an image", atoms_of(x))
-            if images[x] not in lattice:
-                raise OrthoViolation(
-                    "totality: images are lattice elements",
-                    (atoms_of(x), atoms_of(images[x])),
-                )
-    if tuple(map(images.__getitem__, img)) != fam:
-        for x in fam:
-            if images[images[x]] != x:
-                raise OrthoViolation(
-                    "involution", (atoms_of(x), atoms_of(images[x]))
-                )
+    x = next(compress(fam, map(not_, map(sig.__contains__, img))), None)
+    if x is not None:
+        if x not in images:
+            raise OrthoViolation("totality: every element has an image", atoms_of(x))
+        raise OrthoViolation(
+            "totality: images are lattice elements", (atoms_of(x), atoms_of(images[x]))
+        )
+    x = next(compress(fam, map(ne, map(images.__getitem__, img), fam)), None)
+    if x is not None:
+        raise OrthoViolation("involution", (atoms_of(x), atoms_of(images[x])))
     # An involution of an atomistic lattice reverses order exactly when
     # x' = ⋀_{p ≤ x} p' for every x: the meet is antitone in x, and an
     # order anti-automorphism sends the join of x's atoms to the meet of
     # their images.  An OrthoMap of this lattice is that meet extension
-    # already.  Only a failed comparison, which guarantees a violating
-    # pair, pays for the pair loop that finds the witness.
+    # already.  The comparison cannot name a violating pair, so only a
+    # failed comparison, which guarantees one, pays for the pair loop
+    # that finds it.
     omap = candidate if own else OrthoMap(lattice, {p: images[p] for p in lattice.atoms()})
     if not own and list(map(omap.images.__getitem__, fam)) != img:
         for x in fam:
@@ -123,16 +127,15 @@ def validate_ortho(lattice: Lattice, candidate) -> OrthoMap:
             for y in fam:
                 if is_subset(x, y) and not is_subset(images[y], ix):
                     raise OrthoViolation("order-reversal", (atoms_of(x), atoms_of(y)))
-    if any(map(int.__and__, fam, img)):
-        for x in fam:
-            if x & images[x]:
-                raise OrthoViolation("complement-meet", atoms_of(x))
-    sig, _ = lattice.signatures()
-    if any(map(int.__and__, map(sig.__getitem__, fam), map(sig.__getitem__, img))):
-        top = lattice.top
-        for x in fam:
-            if lattice.join((x, images[x])) != top:
-                raise OrthoViolation("complement-join", atoms_of(x))
+    x = next(compress(fam, map(int.__and__, fam, img)), None)
+    if x is not None:
+        raise OrthoViolation("complement-meet", atoms_of(x))
+    x = next(
+        compress(fam, map(int.__and__, map(sig.__getitem__, fam), map(sig.__getitem__, img))),
+        None,
+    )
+    if x is not None:
+        raise OrthoViolation("complement-join", atoms_of(x))
     return omap
 
 

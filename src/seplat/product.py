@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .bitset import atoms_of, is_subset, iter_atoms
+from .bitset import atoms_of, iter_atoms
 from .errors import ForeignElementError, ValidationError
 from .lattice import Lattice
 from .ortho import AtomOrthogonality, OrthoMap, closure_from_orthogonality
@@ -301,15 +302,16 @@ def _embedding_verdicts(
     The empty subset and the pairs determine every other meet and join
     by associativity, so a law that they all keep holds on every subset
     and its subsets are not evaluated.  The images are read first, in
-    factor order, so the exception is the first one that evaluating a
-    pool that starts with the empty subset and the singletons meets:
-    KeyError for an element that h misses, ForeignElementError for an
-    image outside the base."""
+    family order, and the first element x that h misses raises
+    ValidationError with witness atoms_of(x), the first image outside
+    the base ForeignElementError, whichever comes first."""
     sig, _ = base.signatures()
     fsig, _ = factor.signatures()
     w, v = factor.atom_count, len(factor.meet_irreducibles())
     meet_code, join_code = {}, {}
     for x in factor.closed_sets:
+        if x not in h:
+            raise ValidationError("embedding maps every factor element", atoms_of(x))
         y = h[x]
         if y not in sig:
             raise ForeignElementError(y)
@@ -401,28 +403,30 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
     and p2 <= a2, (p1 x a2) v (a1 x p2) has atom set
     {p1} x A(a2) u A(a1) x {p2}.
 
-    Each check says that the join of two members is their union.  The
-    join is the smallest member holding the union, so it is the union
-    exactly when the union is a member.  All the unions, which include
-    every operand, are tested against the member set in one pass; when
-    every one is a member, every check passes, and `checked` is their
-    number.  Only a
-    failed pass runs the per-check loop, which takes each join with
-    `Lattice.join`, builds the witnesses, and raises ForeignElementError
-    for the first operand outside the base.
+    The checks are listed once, as operand pairs: the two-atom checks as
+    ordered pairs (i, j), (k, l) with i != k and j != l, by i, k, j and
+    l, then the atom-set checks by i, a1 ∋ i, j and a2 ∋ j, whose
+    (i, a1, j, a2) are kept for the witnesses; `checked` is their number.
+    Each check says that the join of its two operands is their union.
+    The join is the smallest member holding the union, so it is the union
+    exactly when the union is a member, and one membership pass over the
+    unions decides every check.  Every operand is itself one of the
+    unions, so when they are all members, so is every operand.  Only a
+    failed pass walks the same list with `Lattice.join`, which records
+    each failure, its two-atom witness read off the operands' bits, and
+    raises ForeignElementError for the first operand outside the base.
     """
     report = CheckReport("join-lemma")
     base, left, right = product.base, product.left, product.right
     n1, n2 = left.atom_count, right.atom_count
-    # the two-atom checks, each union taken once for its two orders
     lines = [[1 << (i * n2 + j) for j in range(n2)] for i in range(n1)]
-    skew = [
-        p | q
-        for line_i, line_k in itertools.combinations(lines, 2)
-        for j, p in enumerate(line_i)
-        for l, q in enumerate(line_k)
-        if j != l
-    ]
+    # the two-atom checks: the pairs of atoms of lines i != k, off the
+    # diagonal j == l of each line pair's product
+    off_diagonal = [j != l for j in range(n2) for l in range(n2)]
+    checks = []
+    for line_i, line_k in itertools.permutations(lines, 2):
+        checks += itertools.compress(itertools.product(line_i, line_k), off_diagonal)
+    two_atom = len(checks)
     # the atom-set checks: row {i} x A(a2) and column A(a1) x {j}.  The
     # factors hold their singletons, so every operand of a check is itself
     # a union tested here: the atom (i, j), the row and the column are the
@@ -430,45 +434,26 @@ def sproduct_join_lemma_check(product: ProductLattice) -> CheckReport:
     ups1 = [[a1 for a1 in left.closed_sets if a1 >> i & 1] for i in range(n1)]
     ups2 = [[a2 for a2 in right.closed_sets if a2 >> j & 1] for j in range(n2)]
     column0 = {a1: _rect(a1, 1, n2) for a1 in left.closed_sets}
-    unions = []
-    for i, a1s in enumerate(ups1):
-        for j, a2s in enumerate(ups2):
-            columns = [column0[a1] << j for a1 in a1s]
-            rows = [a2 << (i * n2) for a2 in a2s]
-            unions += [row | column for column in columns for row in rows]
+    cells = [
+        (i, a1, j, a2)
+        for i, a1s in enumerate(ups1)
+        for a1 in a1s
+        for j, a2s in enumerate(ups2)
+        for a2 in a2s
+    ]
+    checks += [(a2 << (i * n2), column0[a1] << j) for i, a1, j, a2 in cells]
+    report.checked = len(checks)
     sig, _ = base.signatures()  # keyed by the members
-    if all(map(sig.__contains__, itertools.chain(skew, unions))):
-        report.checked = 2 * len(skew) + len(unions)
+    if all(map(sig.__contains__, itertools.starmap(operator.or_, checks))):
         return report
-    for i in range(n1):
-        for k in range(n1):
-            if i == k:
-                continue
-            for j in range(n2):
-                p = 1 << (i * n2 + j)
-                for l in range(n2):
-                    if j == l:
-                        continue
-                    q = 1 << (k * n2 + l)
-                    got = base.join((p, q))
-                    report.record(
-                        got == p | q,
-                        lambda: ("two-atoms", (i, j), (k, l), atoms_of(got)),
-                    )
-    for i in range(n1):
-        for a1 in left.closed_sets:
-            if not is_subset(1 << i, a1):
-                continue
-            for j in range(n2):
-                column = product.rect(a1, 1 << j)
-                for a2 in right.closed_sets:
-                    if not is_subset(1 << j, a2):
-                        continue
-                    row = a2 << (i * n2)  # the pair atoms {i} x A(a2)
-                    lhs = base.join((row, column))
-                    rhs = row | column
-                    report.record(
-                        lhs == rhs,
-                        lambda: ("atom-sets", i, atoms_of(a1), j, atoms_of(a2)),
-                    )
+    for k, (x, y) in enumerate(checks):
+        got = base.join((x, y))
+        if got == x | y:
+            continue
+        if k < two_atom:
+            pairs = (product.pair_of(m.bit_length() - 1) for m in (x, y))
+            report.failures.append(("two-atoms", *pairs, atoms_of(got)))
+        else:
+            i, a1, j, a2 = cells[k - two_atom]
+            report.failures.append(("atom-sets", i, atoms_of(a1), j, atoms_of(a2)))
     return report

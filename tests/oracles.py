@@ -391,6 +391,78 @@ def third_atom_count(fam: set[frozenset[int]], p: int, q: int) -> int:
     return len(j)
 
 
+# -- weak connectedness, one atom pair at a time ------------------------------
+
+
+def weakly_connected_per_pair(closed_sets, n_atoms: int, blocks):
+    """(ok, condition, witness) of weak connectedness of the family
+    `closed_sets` (masks) for the covering `blocks` (atom masks): the
+    conditions in the library's order, the join condition testing each
+    block's pairs (p, q), p < q, with `third_atom_count`, and the chain
+    condition by a search over the blocks that share two atoms."""
+    if n_atoms < 2:
+        return False, "lattice is the two-element lattice or below", n_atoms
+    for b in blocks:
+        if _popcount(b) < 2:
+            return False, "blocks have at least two atoms", _atoms(b)
+    uncovered = set(range(n_atoms)) - {a for b in blocks for a in _atoms(b)}
+    if uncovered:
+        return False, "blocks cover every atom", tuple(sorted(uncovered))
+    fam = {frozenset(_atoms(m)) for m in closed_sets}
+    for b in blocks:
+        idx = _atoms(b)
+        for i, p in enumerate(idx):
+            for q in idx[i + 1 :]:
+                if third_atom_count(fam, p, q) < 3:
+                    return False, "a third atom below the join of any block pair", (p, q)
+    chained = []
+    for start in range(len(blocks)):
+        seen, todo = {start}, [start]
+        while todo:
+            a = todo.pop()
+            for c in range(len(blocks)):
+                if c not in seen and _popcount(blocks[a] & blocks[c]) >= 2:
+                    seen.add(c)
+                    todo.append(c)
+        chained.append(seen)
+    for p in range(n_atoms):
+        for q in range(p + 1, n_atoms):
+            if not any(
+                blocks[a] >> p & 1 and blocks[c] >> q & 1
+                for a in range(len(blocks))
+                for c in chained[a]
+            ):
+                return False, "atoms joined by a chain of overlapping blocks", (p, q)
+    return True, None, None
+
+
+def greedy_covering(closed_sets, n_atoms: int):
+    """The covering that the greedy clique heuristic finds, as a tuple of
+    block masks, or None: the single block of all atoms if it is
+    connected, else the blocks grown from each atom p by adding, in index
+    order, every atom q that has a third atom under its join with each
+    atom already in the block, kept when they have two atoms or more and
+    returned in ascending order if they form a connected covering."""
+    if n_atoms < 2:
+        return None
+    fam = {frozenset(_atoms(m)) for m in closed_sets}
+    full = (1 << n_atoms) - 1
+    if weakly_connected_per_pair(closed_sets, n_atoms, (full,))[0]:
+        return (full,)
+    blocks = set()
+    for p in range(n_atoms):
+        block = [p]
+        for q in range(n_atoms):
+            if q != p and all(third_atom_count(fam, a, q) >= 3 for a in block):
+                block.append(q)
+        if len(block) >= 2:
+            blocks.add(sum(1 << a for a in block))
+    cov = tuple(sorted(blocks))
+    if cov and weakly_connected_per_pair(closed_sets, n_atoms, cov)[0]:
+        return cov
+    return None
+
+
 # -- all-pairs references for the one-pass and spanning-pair checks -------
 #
 # These take masks (ints) and permutation tuples, or the library's objects
@@ -1052,7 +1124,15 @@ def first_bad_mask(masks, atom_count: int):
 # join taken as the closure of the union (`join_by_closure`).  `pools` is
 # the pair of subset pools the library draws, as the pools are part of
 # what is checked.  Each returns (checked, failures), the failures in the
-# library's order with its witnesses.
+# library's order with its witnesses.  An embedding that misses a factor
+# element raises LookupError(law, atoms of the element), for the first
+# element in family order, before that embedding's subsets are checked.
+
+
+def _require_total(factor, h) -> None:
+    for x in factor.closed_sets:
+        if x not in h:
+            raise LookupError("embedding maps every factor element", _atoms(x))
 
 
 def lateral_joins_per_check(product, pools):
@@ -1079,6 +1159,7 @@ def lateral_joins_per_check(product, pools):
                 if got != want:
                     failures.append(("left", j, i, k, _atoms(got)))
     for lat, h, side, pool in zip((left, right), (product.h1, product.h2), ("h1", "h2"), pools):
+        _require_total(lat, h)
         for omega in pool:
             got = join_by_closure(base, [h[x] for x in omega])
             want = h[join_by_closure(lat, omega)]
@@ -1137,6 +1218,7 @@ def p0_per_check(product, pools):
             failures.append((side, "injective"))
         if set(h) != set(factor.closed_sets):
             failures.append((side, "total"))
+        _require_total(factor, h)
         for omega in pool:
             meet, got_meet = (1 << factor.atom_count) - 1, base_top
             for x in omega:

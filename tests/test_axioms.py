@@ -119,6 +119,53 @@ def test_refutation_is_sound_and_inconclusive_where_expected(mo2, b3):
     assert not seplat.refute_weak_connectedness(seplat.build_subspace_lattice(2, 2))
 
 
+def _random_atomistic(rng):
+    n = rng.randint(3, 7)
+    seeds = [rng.randrange(1 << n) for _ in range(rng.randint(0, 8))]
+    return Lattice.from_closed_family(n, seeds, mode="complete")
+
+
+def _random_covering(lat, rng):
+    """Two to four random blocks of one to five atoms, so that every
+    condition of weak connectedness comes up."""
+    n = lat.atom_count
+    return Covering(
+        tuple(
+            sum(1 << a for a in rng.sample(range(n), rng.randint(1, min(n, 5))))
+            for _ in range(rng.randint(2, 4))
+        )
+    )
+
+
+def test_connectivity_matches_the_per_pair_references():
+    # On random atomistic lattices, `weakly_connected` on random coverings
+    # and `find_connected_covering` give what the per-pair references
+    # give, and the refutation holds exactly when no atom pair has a third
+    # atom under its join.
+    rng = random.Random(31)
+    conditions, refuted, found = set(), set(), set()
+    for _ in range(120):
+        lat = _random_atomistic(rng)
+        n, fam = lat.atom_count, {frozenset(atoms_of(m)) for m in lat}
+        for _ in range(4):
+            cov = _random_covering(lat, rng)
+            res = seplat.weakly_connected(lat, cov)
+            want = oracles.weakly_connected_per_pair(lat.closed_sets, n, cov.blocks)
+            assert (res.ok, res.condition, res.witness) == want
+            conditions.add(res.condition)
+        no_edge = all(
+            oracles.third_atom_count(fam, p, q) < 3 for p, q in itertools.combinations(range(n), 2)
+        )
+        assert seplat.refute_weak_connectedness(lat) == no_edge
+        refuted.add(no_edge)
+        cov = seplat.find_connected_covering(lat)
+        want = oracles.greedy_covering(lat.closed_sets, n)
+        assert (cov and cov.blocks) == want
+        found.add(want and len(want))
+    assert len(conditions) == 5 and refuted == {True, False}
+    assert {None, 1} < found  # no covering, the single block and several blocks
+
+
 def test_find_connected_covering(mo2, b3):
     cov = seplat.find_connected_covering(mo2[0])
     assert cov == Covering.single_block(mo2[0])
@@ -633,10 +680,11 @@ def test_join_checks_match_the_per_check_loops_on_corrupted_products(prod22, pro
 
 
 def test_join_checks_raise_as_the_per_check_loops(prod22, mo1):
-    # What the per-check loops raised on a base without a pair atom, on
-    # images outside the base and on embeddings that miss elements: the
-    # first offending mask or key in their loop order.  P0 reads top's
-    # image first (the empty meet), the lateral joins bottom's.
+    # What the per-check loops raised on a base without a pair atom and on
+    # images outside the base: the first offending mask in their loop
+    # order.  An embedding that misses factor elements raises
+    # ValidationError for the first of them in family order, as the
+    # references do.
     base3 = Lattice.from_closed_family(3, [0, 1, 2, 4, 7])
     h = {0: 0, 1: 1, 2: 2, 3: 7}
     small = ProductLattice(base3, mo1[0], mo1[0], h, dict(h), "external")
@@ -644,14 +692,14 @@ def test_join_checks_raise_as_the_per_check_loops(prod22, mo1):
     h1, h2 = dict(prod22.h1), dict(prod22.h2)
     h1[members[2]] = 0b11
     h2[members[3]], h2[members[1]] = 0b101, 0b1001
-    missing = dict(prod22.h2)
-    del missing[0], missing[prod22.right.top]
 
     def raised(check, prod):
-        with pytest.raises((ForeignElementError, KeyError)) as exc:
+        with pytest.raises((ForeignElementError, ValidationError)) as exc:
             check(prod)
         err = exc.value
-        return type(err).__name__, err.mask if isinstance(err, ForeignElementError) else err.args[0]
+        if isinstance(err, ForeignElementError):
+            return type(err).__name__, err.mask
+        return type(err).__name__, err.law, err.witness
 
     def p0(prod):
         seplat.check_sproduct(prod, AutoGroup(prod.left, ()), AutoGroup(prod.right, ()))
@@ -663,9 +711,17 @@ def test_join_checks_raise_as_the_per_check_loops(prod22, mo1):
         (dataclasses.replace(prod22, h2=h2), ("ForeignElementError", 9)),
     ):
         assert raised(lateral, prod) == raised(p0, prod) == want
-    bad = dataclasses.replace(prod22, h2=missing)
-    assert raised(lateral, bad) == ("KeyError", 0)
-    assert raised(p0, bad) == ("KeyError", 15)
+    pools = _subset_pools(prod22.left.closed_sets, prod22.right.closed_sets)
+    top = prod22.right.top
+    for gone, want in (((0, top), ()), ((top,), (0, 1, 2, 3))):
+        missing = {x: y for x, y in prod22.h2.items() if x not in gone}
+        bad = dataclasses.replace(prod22, h2=missing)
+        law = "embedding maps every factor element"
+        assert raised(lateral, bad) == raised(p0, bad) == ("ValidationError", law, want)
+        for reference in (oracles.lateral_joins_per_check, oracles.p0_per_check):
+            with pytest.raises(LookupError) as exc:
+                reference(bad, pools)
+            assert exc.value.args == (law, want)
 
 
 def test_join_checks_call_no_join_or_meet_on_the_base(prod23, monkeypatch):
@@ -689,6 +745,29 @@ def test_join_checks_call_no_join_or_meet_on_the_base(prod23, monkeypatch):
     ):
         _check_embedding_morphism(report, base, factor, h, side, pool)
     assert report.passed and report.checked == 2 * (2 + len(pools[0]) + len(pools[1]))
+    assert calls == []
+
+
+def test_connectivity_checks_call_no_join_on_any_lattice(prod23, monkeypatch):
+    # The third-atom graph and P3's lateral joins read joins off the
+    # signatures.
+    calls = []
+
+    def counted(self, xs, method=Lattice.join):
+        calls.append(self)
+        return method(self, xs)
+
+    monkeypatch.setattr(Lattice, "join", counted)
+    base = prod23.base
+    assert not seplat.weakly_connected(base, Covering.single_block(base)).ok
+    assert not seplat.refute_weak_connectedness(base)
+    seplat.find_connected_covering(base)
+    for lat in (prod23.left, prod23.right):
+        assert seplat.weakly_connected(lat, Covering.single_block(lat)).ok
+        assert not seplat.refute_weak_connectedness(lat)
+        assert seplat.find_connected_covering(lat) == Covering.single_block(lat)
+    single = Covering.single_block(prod23.left), Covering.single_block(prod23.right)
+    assert seplat.laterally_connected(prod23, *single).ok
     assert calls == []
 
 
