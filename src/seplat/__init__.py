@@ -16,16 +16,14 @@ from .axioms import (
     Covering,
     check_sproduct,
     classify_invariant_subsets,
-    find_connected_covering,
+    connected_covering,
     induced_pair_group,
     laterally_connected,
-    refute_weak_connectedness,
     strongly_transitive,
     weakly_connected,
 )
 from .bitset import atoms_of, mask_of, popcount
 from .builders import (
-    LatticeSpec,
     build_boolean,
     build_mo,
     build_subspace_lattice,
@@ -89,7 +87,6 @@ __all__ = [
     "ForeignElementError",
     "Lattice",
     "LatticeDocument",
-    "LatticeSpec",
     "OrthoMap",
     "OrthoViolation",
     "ProductLattice",
@@ -108,12 +105,12 @@ __all__ = [
     "check_sproduct",
     "classify_invariant_subsets",
     "closure_from_orthogonality",
+    "connected_covering",
     "dump_lattice",
     "dump_product",
     "enumerate_automorphisms",
     "enumerate_orthocomplementations",
     "factor_automorphism",
-    "find_connected_covering",
     "induced_pair_group",
     "is_orthomodular",
     "isomorphic",
@@ -123,7 +120,6 @@ __all__ = [
     "load_product",
     "mask_of",
     "popcount",
-    "refute_weak_connectedness",
     "sharp_relation",
     "sproduct_join_lemma_check",
     "strongly_transitive",

@@ -2,9 +2,9 @@
 
 All checkers are exhaustive over the finite instance and report the first
 witness on failure.  Coverings are caller-supplied (the single block of
-all atoms is the default used throughout for MO-type lattices); a greedy
-`find_connected_covering` heuristic exists but its failure is never
-treated as a refutation.
+all atoms is the default used throughout for MO-type lattices);
+`connected_covering` decides exactly whether any connected covering
+exists, and its None is a refutation.
 """
 
 from __future__ import annotations
@@ -175,39 +175,41 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
     return ConnectivityResult(True)
 
 
-def refute_weak_connectedness(lattice: Lattice) -> bool:
-    """Sound refutation: True means no connected covering can exist, for
-    any choice of blocks.  This holds when the third-atom graph
-    (`_third_atom_graph`) has no edge, as on fewer than two atoms: no atom
-    pair has a third atom under its join, so no block of two or more
-    atoms can satisfy the join condition.  False is inconclusive."""
-    return not any(_third_atom_graph(lattice))
+def connected_covering(lattice: Lattice) -> Optional[Covering]:
+    """A covering that passes `weakly_connected`, or None when no
+    connected covering exists: the decision is exact.
 
-
-def find_connected_covering(lattice: Lattice) -> Optional[Covering]:
-    """Greedy heuristic: grow blocks as cliques of the third-atom graph
-    (`_third_atom_graph`).  Returns a covering that passes
-    `weakly_connected`, or None.  A None is never a refutation; use
-    `refute_weak_connectedness` for that."""
-    n = lattice.atom_count
-    if n < 2:
-        return None
-    adj = _third_atom_graph(lattice)
-    single = Covering.single_block(lattice)
-    if weakly_connected(lattice, single):
-        return single
-    blocks = set()
-    for p in range(n):
-        block = 1 << p
-        for q in range(n):
-            if q != p and (block & ~adj[q]) == 0:
-                block |= 1 << q
-        if popcount(block) >= 2:
-            blocks.add(block)
-    if not blocks:
-        return None
-    cov = Covering(tuple(sorted(blocks)))
-    return cov if weakly_connected(lattice, cov) else None
+    Call two edges of the third-atom graph (`_third_atom_graph`, built
+    once) linked when they lie in a common triangle.  A connected
+    covering exists exactly when some class of linked edges touches every
+    atom.  Every block of a connected covering is a clique of at least
+    two atoms, its edges are linked through its triangles, and blocks
+    sharing two atoms share an edge, so all its edges fall in one class
+    that touches every atom.  Conversely the triangles that merge two
+    edge classes in a union-find span that class's links, and together
+    they form a connected covering.  The single block of all atoms is
+    returned when the graph is complete, else those triangles in
+    ascending order."""
+    top, adj = lattice.top, _third_atom_graph(lattice)
+    if any(adj) and all(a | 1 << p == top for p, a in enumerate(adj)):
+        return Covering.single_block(lattice)
+    edge = {}
+    for p, a in enumerate(adj):
+        for q in iter_atoms(a >> (p + 1) << (p + 1)):
+            edge[p, q] = len(edge)
+    parent, merging = list(range(len(edge))), []
+    for (p, q), e in edge.items():
+        for r in iter_atoms(adj[p] & adj[q] >> (q + 1) << (q + 1)):
+            if _union(parent, e, edge[p, r]) | _union(parent, e, edge[q, r]):
+                merging.append((1 << p | 1 << q | 1 << r, e))
+    touched = {}
+    for (p, q), e in edge.items():
+        root = _find(parent, e)
+        touched[root] = touched.get(root, 0) | 1 << p | 1 << q
+    for root, atoms in touched.items():
+        if atoms == top:
+            return Covering(tuple(sorted(t for t, e in merging if _find(parent, e) == root)))
+    return None
 
 
 def laterally_connected(

@@ -12,8 +12,6 @@ candidate runs into self-orthogonal one-dimensional subspaces).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
 from .bitset import full_mask, mask_of
 from .errors import SizeCapError, ValidationError
@@ -136,29 +134,10 @@ def build_subspace_lattice(q: int, d: int) -> Lattice:
 
 # builder kind -> (parameter count, function of the parameters giving the
 # lattice and its orthocomplementation or None); `seplat build` reads its
-# kinds and parameter counts here
+# kinds, parameter counts and builders here
 BUILDERS = {
     "mo": (1, build_mo),
     "boolean": (1, build_boolean),
     "subspace": (2, lambda q, d: (build_subspace_lattice(q, d), None)),
     "two": (0, lambda: (build_two(), None)),
 }
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Recipe for a lattice: a builder kind of `BUILDERS` with its
-    parameters, or a file."""
-
-    kind: str
-    params: tuple = ()
-    path: Optional[str] = None
-
-    def build(self) -> tuple[Lattice, Optional[OrthoMap]]:
-        if self.kind == "file":
-            from .io import load_lattice_file
-
-            return load_lattice_file(self.path)
-        if self.kind not in BUILDERS:
-            raise ValidationError("unknown lattice kind", self.kind)
-        return BUILDERS[self.kind][1](*self.params)

@@ -13,22 +13,21 @@ import sys
 from typing import Optional
 
 from . import axioms, io, morphisms, ortho as ortho_mod, product as product_mod
-from .builders import BUILDERS, LatticeSpec
+from .bitset import atoms_of
+from .builders import BUILDERS
 from .errors import CharacterizationError, FactorizationError, SeplatError
 from .lattice import Lattice
 from .perm import AutoGroup
 
 
-def _parse_covering(spec: Optional[str], lattice: Lattice) -> axioms.Covering:
+def _parse_covering(spec: Optional[str], lattice: Lattice) -> Optional[axioms.Covering]:
+    """The covering that `spec` names: the single block when it is None,
+    and `axioms.connected_covering` for 'auto', which is None when no
+    connected covering exists."""
     if spec is None:
         return axioms.Covering.single_block(lattice)
     if spec == "auto":
-        cov = axioms.find_connected_covering(lattice)
-        if cov is None:
-            raise SeplatError(
-                "no connected covering found heuristically; give one explicitly"
-            )
-        return cov
+        return axioms.connected_covering(lattice)
     try:
         blocks = [
             [int(a) for a in block.split(",") if a != ""]
@@ -51,8 +50,7 @@ def _cmd_build(args) -> int:
         params = tuple(int(p) for p in args.params)
     except ValueError as e:
         raise SeplatError(f"builder parameters must be integers: {e}") from e
-    spec = LatticeSpec(args.kind, params)
-    lat, omap = spec.build()
+    lat, omap = BUILDERS[args.kind][1](*params)
     meta = {"builder": args.kind, "params": [int(p) for p in args.params]}
     io.dump_lattice(args.output or sys.stdout, lat, omap, meta)
     return 0
@@ -93,13 +91,20 @@ def _cmd_check(args) -> int:
         record("covering-property", lat.has_covering_property())
     if args.weakly_connected:
         cov = _parse_covering(args.covering, lat)
-        res = axioms.weakly_connected(lat, cov)
-        record("weakly-connected", res.ok, None if res.ok else (res.condition, res.witness))
-        if not res.ok:
-            record(
-                "weak-connectedness-refuted",
-                axioms.refute_weak_connectedness(lat),
-            )
+        if cov is None:
+            record("weakly-connected", False, "no connected covering exists")
+            record("weak-connectedness-refuted", True)
+        else:
+            res = axioms.weakly_connected(lat, cov)
+            record("weakly-connected", res.ok, None if res.ok else (res.condition, res.witness))
+            if not res.ok:
+                found = axioms.connected_covering(lat)
+                record(
+                    "weak-connectedness-refuted",
+                    found is None,
+                    found and "connected covering "
+                    + ";".join(",".join(map(str, atoms_of(b))) for b in found.blocks),
+                )
     if not results:
         record("well-formed", True, f"{lat.atom_count} atoms, {len(lat)} elements")
     passed = all(r["ok"] for r in results.values())
@@ -120,6 +125,9 @@ def _cmd_sproduct_check(args) -> int:
     prod = io.load_product(args.product, args.left, args.right)
     cov1 = _parse_covering(args.covering1, prod.left)
     cov2 = _parse_covering(args.covering2, prod.right)
+    for cov, side in ((cov1, "left"), (cov2, "right")):
+        if cov is None:
+            raise SeplatError(f"no connected covering exists for the {side} factor")
     if args.groups == "id":
         t1 = AutoGroup.identity_only(prod.left)
         t2 = AutoGroup.identity_only(prod.right)
@@ -300,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export a document to Graphviz DOT")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="Hasse diagram as DOT (the default)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_export)
     return parser

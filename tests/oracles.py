@@ -436,31 +436,31 @@ def weakly_connected_per_pair(closed_sets, n_atoms: int, blocks):
     return True, None, None
 
 
-def greedy_covering(closed_sets, n_atoms: int):
-    """The covering that the greedy clique heuristic finds, as a tuple of
-    block masks, or None: the single block of all atoms if it is
-    connected, else the blocks grown from each atom p by adding, in index
-    order, every atom q that has a third atom under its join with each
-    atom already in the block, kept when they have two atoms or more and
-    returned in ascending order if they form a connected covering."""
-    if n_atoms < 2:
-        return None
+def connected_covering_exists(closed_sets, n_atoms: int) -> bool:
+    """Whether the family has a connected covering, by brute force: every
+    atom subset of at least two atoms that is a maximal clique under
+    `third_atom_count` becomes a block, and `weakly_connected_per_pair`
+    decides that covering.  Every block of a connected covering lies in
+    one of these cliques, and adding blocks keeps a covering connected,
+    so this covering passes exactly when some covering does."""
     fam = {frozenset(_atoms(m)) for m in closed_sets}
-    full = (1 << n_atoms) - 1
-    if weakly_connected_per_pair(closed_sets, n_atoms, (full,))[0]:
-        return (full,)
-    blocks = set()
-    for p in range(n_atoms):
-        block = [p]
-        for q in range(n_atoms):
-            if q != p and all(third_atom_count(fam, a, q) >= 3 for a in block):
-                block.append(q)
-        if len(block) >= 2:
-            blocks.add(sum(1 << a for a in block))
-    cov = tuple(sorted(blocks))
-    if cov and weakly_connected_per_pair(closed_sets, n_atoms, cov)[0]:
-        return cov
-    return None
+    edge = {
+        (p, q)
+        for p, q in itertools.combinations(range(n_atoms), 2)
+        if third_atom_count(fam, p, q) >= 3
+    }
+
+    def clique(atoms) -> bool:
+        return all(pair in edge for pair in itertools.combinations(sorted(atoms), 2))
+
+    cliques = [
+        sum(1 << a for a in subset)
+        for k in range(2, n_atoms + 1)
+        for subset in itertools.combinations(range(n_atoms), k)
+        if clique(subset)
+        and not any(clique(subset + (r,)) for r in range(n_atoms) if r not in subset)
+    ]
+    return weakly_connected_per_pair(closed_sets, n_atoms, cliques)[0]
 
 
 # -- all-pairs references for the one-pass and spanning-pair checks -------

@@ -111,12 +111,20 @@ def test_covering_atoms_past_the_lattice_fail_before_a_mask_is_built(mo2):
         Covering.from_lists(lat, [[0, 4]])
 
 
-def test_refutation_is_sound_and_inconclusive_where_expected(mo2, b3):
-    assert seplat.refute_weak_connectedness(seplat.build_two())
-    assert seplat.refute_weak_connectedness(b3[0])
-    assert seplat.refute_weak_connectedness(seplat.build_boolean(4)[0])
-    assert not seplat.refute_weak_connectedness(mo2[0])
-    assert not seplat.refute_weak_connectedness(seplat.build_subspace_lattice(2, 2))
+def _from_meet_irreducibles(n, mis):
+    return Lattice.from_closed_family(n, [sum(1 << a for a in m) for m in mis], mode="complete")
+
+
+def test_connected_covering_refutes_exactly_where_no_covering_exists(b3):
+    # None is a refutation: no atom pair has a third atom (the first
+    # three), or the third-atom graph is the path 1 - 0 - 2, whose two
+    # edges share no triangle and so touch two atoms each
+    path = _from_meet_irreducibles(3, [{0}, {1}, {1, 2}, {2}])
+    for lat in (seplat.build_two(), b3[0], seplat.build_boolean(4)[0], path):
+        assert seplat.connected_covering(lat) is None
+        assert not oracles.connected_covering_exists(lat.closed_sets, lat.atom_count)
+    assert sorted(path.meet_irreducibles()) == [1, 2, 4, 6]
+    assert seplat.connected_covering(seplat.build_subspace_lattice(2, 2)) is not None
 
 
 def _random_atomistic(rng):
@@ -139,41 +147,48 @@ def _random_covering(lat, rng):
 
 def test_connectivity_matches_the_per_pair_references():
     # On random atomistic lattices, `weakly_connected` on random coverings
-    # and `find_connected_covering` give what the per-pair references
-    # give, and the refutation holds exactly when no atom pair has a third
-    # atom under its join.
+    # gives what the per-pair reference gives, and `connected_covering`
+    # returns None exactly when the maximal-clique oracle finds no
+    # connected covering, and otherwise a covering the reference passes.
     rng = random.Random(31)
-    conditions, refuted, found = set(), set(), set()
+    conditions, found = set(), set()
     for _ in range(120):
         lat = _random_atomistic(rng)
-        n, fam = lat.atom_count, {frozenset(atoms_of(m)) for m in lat}
+        n = lat.atom_count
         for _ in range(4):
             cov = _random_covering(lat, rng)
             res = seplat.weakly_connected(lat, cov)
             want = oracles.weakly_connected_per_pair(lat.closed_sets, n, cov.blocks)
             assert (res.ok, res.condition, res.witness) == want
             conditions.add(res.condition)
-        no_edge = all(
-            oracles.third_atom_count(fam, p, q) < 3 for p, q in itertools.combinations(range(n), 2)
-        )
-        assert seplat.refute_weak_connectedness(lat) == no_edge
-        refuted.add(no_edge)
-        cov = seplat.find_connected_covering(lat)
-        want = oracles.greedy_covering(lat.closed_sets, n)
-        assert (cov and cov.blocks) == want
-        found.add(want and len(want))
-    assert len(conditions) == 5 and refuted == {True, False}
+        cov = seplat.connected_covering(lat)
+        assert (cov is not None) == oracles.connected_covering_exists(lat.closed_sets, n)
+        if cov is not None:
+            assert oracles.weakly_connected_per_pair(lat.closed_sets, n, cov.blocks)[0]
+        found.add(cov and len(cov.blocks))
+    assert len(conditions) == 5
     assert {None, 1} < found  # no covering, the single block and several blocks
 
 
-def test_find_connected_covering(mo2, b3):
-    cov = seplat.find_connected_covering(mo2[0])
-    assert cov == Covering.single_block(mo2[0])
-    assert seplat.find_connected_covering(b3[0]) is None
-    assert seplat.find_connected_covering(seplat.build_two()) is None
+def test_connected_covering(mo2, monkeypatch):
+    graphs = []
+
+    def counted(lattice, build=seplat.axioms._third_atom_graph):
+        graphs.append(lattice)
+        return build(lattice)
+
+    monkeypatch.setattr(seplat.axioms, "_third_atom_graph", counted)
+    assert seplat.connected_covering(mo2[0]) == Covering.single_block(mo2[0])
     fano = seplat.build_subspace_lattice(2, 3)
-    cov = seplat.find_connected_covering(fano)
-    assert cov is not None and seplat.weakly_connected(fano, cov).ok
+    assert seplat.connected_covering(fano) == Covering.single_block(fano)
+    # no single block, and cliques grown greedily from each atom in index
+    # order do not chain here; the triangles 013, 024 and 034 do
+    lat = _from_meet_irreducibles(5, [{0}, {1, 2}, {1, 4}, {2, 3}, {3}, {4}])
+    assert sorted(lat.meet_irreducibles()) == [1, 6, 8, 12, 16, 18]
+    cov = seplat.connected_covering(lat)
+    assert [atoms_of(b) for b in cov.blocks] == [(0, 1, 3), (0, 2, 4), (0, 3, 4)]
+    assert graphs == [mo2[0], fano, lat]  # one third-atom graph per call
+    assert seplat.weakly_connected(lat, cov).ok
 
 
 # -- lateral connectedness ---------------------------------------------------
@@ -760,12 +775,10 @@ def test_connectivity_checks_call_no_join_on_any_lattice(prod23, monkeypatch):
     monkeypatch.setattr(Lattice, "join", counted)
     base = prod23.base
     assert not seplat.weakly_connected(base, Covering.single_block(base)).ok
-    assert not seplat.refute_weak_connectedness(base)
-    seplat.find_connected_covering(base)
+    assert seplat.connected_covering(base) is None
     for lat in (prod23.left, prod23.right):
         assert seplat.weakly_connected(lat, Covering.single_block(lat)).ok
-        assert not seplat.refute_weak_connectedness(lat)
-        assert seplat.find_connected_covering(lat) == Covering.single_block(lat)
+        assert seplat.connected_covering(lat) == Covering.single_block(lat)
     single = Covering.single_block(prod23.left), Covering.single_block(prod23.right)
     assert seplat.laterally_connected(prod23, *single).ok
     assert calls == []

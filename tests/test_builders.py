@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 import seplat
-from seplat import Lattice, LatticeSpec
+from seplat import Lattice
 from seplat.bitset import atoms_of, mask_of
+from seplat.builders import BUILDERS
 from seplat.errors import SizeCapError, ValidationError
 
 import oracles
@@ -185,27 +186,21 @@ def test_gf4_arithmetic_agrees_with_oracle():
             assert lib.mul_table[a][b] == field.mul(a, b)
 
 
-# -- LatticeSpec dispatch -------------------------------------------------
+# -- the builder table ------------------------------------------------------
 
 
-def test_lattice_spec_builders(tmp_path):
-    lat, om = LatticeSpec("mo", (2,)).build()
+def test_builder_table_builds_each_kind():
+    assert BUILDERS["mo"][0] == BUILDERS["boolean"][0] == 1
+    lat, om = BUILDERS["mo"][1](2)
     assert lat == seplat.build_mo(2)[0] and om is not None
 
-    lat, om = LatticeSpec("boolean", (3,)).build()
+    lat, om = BUILDERS["boolean"][1](3)
     assert lat == seplat.build_boolean(3)[0] and om is not None
 
-    lat, om = LatticeSpec("subspace", (2, 2)).build()
+    assert BUILDERS["subspace"][0] == 2
+    lat, om = BUILDERS["subspace"][1](2, 2)
     assert lat == seplat.build_subspace_lattice(2, 2) and om is None
 
-    lat, om = LatticeSpec("two").build()
+    assert BUILDERS["two"][0] == 0
+    lat, om = BUILDERS["two"][1]()
     assert lat == seplat.build_two() and om is None
-
-    path = tmp_path / "mo2.json"
-    source, source_om = seplat.build_mo(2)
-    seplat.io.dump_lattice(str(path), source, source_om)
-    lat, om = LatticeSpec("file", path=str(path)).build()
-    assert lat == source and om == source_om
-
-    with pytest.raises(ValidationError):
-        LatticeSpec("moebius").build()

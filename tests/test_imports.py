@@ -5,9 +5,14 @@ No linter ships with the project, so these checks read each module's
 syntax tree with the standard-library `ast` module.  The import check
 skips `__init__.py`, as its imports are the package's re-exports, and
 `from __future__`.
+
+`code_lines` is the code-line count that change notes quote; run
+`python tests/test_imports.py` to print it per module and in total.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -45,6 +50,61 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+NO_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def code_lines(path) -> int:
+    """The lines of the file at `path` that hold a token other than a
+    comment, a line break, an indent or a dedent, outside the module,
+    class and function docstrings."""
+    source = Path(path).read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+    held = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NO_CODE:
+            held.update(range(tok.start[0], tok.end[0] + 1))
+    return len(held - docstrings)
+
+
+SAMPLE = '''"""Module
+docstring."""
+# a comment
+
+class A:
+    """Class docstring."""
+
+    def f(self):  # code before a comment counts
+        """Function
+        docstring."""
+        return (1,
+                2)
+
+x = """two
+lines"""
+"not a docstring"
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE)
+    # class, def, the two lines of the return and of x, the bare string
+    assert code_lines(path) == 7
+
+
 # every private slot of `Lattice`: other modules read the member set and
 # the meet-irreducible signatures through `Lattice.signatures`, and the
 # rest through the public methods
@@ -72,3 +132,10 @@ def test_only_the_lattice_reads_its_signatures(path):
         if isinstance(node, ast.Attribute) and node.attr in SIGNATURE_ATTRIBUTES
     ]
     assert read == []
+
+
+if __name__ == "__main__":
+    counts = {p.name: code_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{count:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")

@@ -11,7 +11,7 @@ import pytest
 import oracles
 import seplat
 from seplat import io
-from seplat.builders import BUILDERS, LatticeSpec
+from seplat.builders import BUILDERS
 from seplat.cli import build_parser, main
 from seplat.errors import OrthoViolation, ValidationError
 
@@ -320,7 +320,7 @@ def test_cli_builds_every_kind_of_the_builder_table(tmp_path, capsys):
     for kind, given in params.items():
         assert len(given) == BUILDERS[kind][0]
         assert main(["build", kind, *given, "-o", out]) == 0
-        want = LatticeSpec(kind, tuple(map(int, given))).build()
+        want = BUILDERS[kind][1](*map(int, given))
         assert io.load_lattice_file(out) == want
         assert io.load_document(out).meta == {"builder": kind, "params": list(map(int, given))}
         assert main(["build", kind, *given, "1"]) == 2
@@ -364,14 +364,15 @@ def test_cli_check_failures_and_json_report(tmp_path, docs, capsys):
     assert data["checks"]["ortho"]["ok"] is True
 
 
-def test_cli_check_weak_connectedness(tmp_path, docs, capsys):
+def test_cli_check_weak_connectedness(tmp_path, docs, mo1, prod23, capsys):
     assert main(["check", docs["mo2"], "--weakly-connected"]) == 0
     assert "weakly-connected: pass" in capsys.readouterr().out
 
+    # mo2 is connectable: the refuted line fails and names a covering
     assert main(["check", docs["mo2"], "--weakly-connected", "--covering", "0,1;2,3"]) == 1
     text = capsys.readouterr().out
     assert "weakly-connected: FAIL" in text
-    assert "weak-connectedness-refuted: FAIL" in text  # mo2 is connectable
+    assert "weak-connectedness-refuted: FAIL (connected covering 0,1,2,3)" in text
 
     assert main(["check", docs["mo2"], "--weakly-connected", "--covering", "auto"]) == 0
 
@@ -379,6 +380,36 @@ def test_cli_check_weak_connectedness(tmp_path, docs, capsys):
     main(["build", "boolean", "3", "-o", b3_path])
     assert main(["check", b3_path, "--weakly-connected"]) == 1
     assert "weak-connectedness-refuted: pass" in capsys.readouterr().out
+
+    # the single block fails, and the named covering of three triangles passes
+    five = str(tmp_path / "five.json")
+    io.dump_lattice(five, seplat.Lattice.from_closed_family(5, [1, 6, 8, 12, 16, 18], mode="complete"))
+    assert main(["check", five, "--weakly-connected"]) == 1
+    text = capsys.readouterr().out
+    assert "weak-connectedness-refuted: FAIL (connected covering 0,1,3;0,2,4;0,3,4)" in text
+    assert main(["check", five, "--weakly-connected", "--covering", "0,1,3;0,2,4;0,3,4"]) == 0
+    assert main(["check", five, "--weakly-connected", "--covering", "auto"]) == 0
+    capsys.readouterr()
+
+    # `auto` on a lattice with no connected covering is a refutation
+    prod = str(tmp_path / "prod23.json")
+    io.dump_product(prod, prod23)
+    assert main(["check", prod, "--weakly-connected", "--covering", "auto"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "weak-connectedness-refuted: pass",
+        "weakly-connected: FAIL (no connected covering exists)",
+    ]
+
+    # `auto` on a factor without one stops sproduct-check, naming the side
+    mo1_path = str(tmp_path / "mo1.json")
+    io.dump_lattice(mo1_path, *mo1)
+    for paths, flag, side in (
+        ([mo1_path, docs["mo2"]], "--covering1", "left"),
+        ([docs["mo2"], mo1_path], "--covering2", "right"),
+    ):
+        assert main(["product", *paths, "--route", "sharp", "-o", prod]) == 0
+        assert main(["sproduct-check", prod, *paths, "--T", "id", flag, "auto"]) == 2
+        assert f"no connected covering exists for the {side} factor" in capsys.readouterr().err
 
 
 def test_cli_rejects_negative_covering_atoms(docs, capsys):
@@ -518,12 +549,15 @@ def test_cli_characterize(docs, capsys):
 
 def test_cli_export(tmp_path, docs, capsys):
     out = str(tmp_path / "mo2.dot")
-    assert main(["export", docs["mo2"], "--dot", "-o", out]) == 0
+    assert main(["export", docs["mo2"], "-o", out]) == 0
     text = Path(out).read_text()
     assert text.startswith("digraph") and "->" in text
 
     assert main(["export", docs["mo2"]]) == 0
     assert capsys.readouterr().out == text
+
+    with pytest.raises(SystemExit):  # DOT is the only format, so no flag selects it
+        main(["export", docs["mo2"], "--dot"])
 
 
 @pytest.mark.parametrize("key", ["h1", "h2"])
@@ -585,7 +619,7 @@ def test_cli_rejects_atoms_that_are_not_string_labels(tmp_path, docs, capsys):
     bad = str(tmp_path / "bad.json")
     for atoms in ([0, 1, 2, 3], [["a"], "b", "c", "d"], "abcd"):
         Path(bad).write_text(json.dumps(dict(good, atoms=atoms)))
-        for argv in (["check", bad], ["export", bad, "--dot"]):
+        for argv in (["check", bad], ["export", bad]):
             assert main(argv) == 2, (argv, atoms)
             err = capsys.readouterr().err
             assert "atoms is a list of strings" in err and "Traceback" not in err
