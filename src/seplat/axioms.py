@@ -181,35 +181,41 @@ def connected_covering(lattice: Lattice) -> Optional[Covering]:
 
     Call two edges of the third-atom graph (`_third_atom_graph`, built
     once) linked when they lie in a common triangle.  A connected
-    covering exists exactly when some class of linked edges touches every
-    atom.  Every block of a connected covering is a clique of at least
-    two atoms, its edges are linked through its triangles, and blocks
-    sharing two atoms share an edge, so all its edges fall in one class
-    that touches every atom.  Conversely the triangles that merge two
-    edge classes in a union-find span that class's links, and together
-    they form a connected covering.  The single block of all atoms is
-    returned when the graph is complete, else those triangles in
-    ascending order."""
-    top, adj = lattice.top, _third_atom_graph(lattice)
-    if any(adj) and all(a | 1 << p == top for p, a in enumerate(adj)):
+    covering exists exactly when there are two atoms or more and every
+    atom pair touches a common class of linked edges.  Every block of a
+    connected covering is a clique of at least two atoms, its edges are
+    linked through its triangles, and blocks sharing two atoms share an
+    edge, so each chain of blocks keeps its edges in one class, which
+    touches every atom of the chain.  Conversely the triangles that merge
+    two edge classes in a union-find span each class's links and chain
+    its atoms, and an edge in no triangle is a class of its own, so these
+    triangles and those edges form a connected covering.  The single
+    block of all atoms is returned when the graph is complete, else those
+    blocks in ascending order."""
+    n, top, adj = lattice.atom_count, lattice.top, _third_atom_graph(lattice)
+    if n < 2:
+        return None
+    if all(a | 1 << p == top for p, a in enumerate(adj)):
         return Covering.single_block(lattice)
     edge = {}
     for p, a in enumerate(adj):
         for q in iter_atoms(a >> (p + 1) << (p + 1)):
             edge[p, q] = len(edge)
-    parent, merging = list(range(len(edge))), []
+    parent, blocks = list(range(len(edge))), []
     for (p, q), e in edge.items():
+        if not adj[p] & adj[q]:
+            blocks.append(1 << p | 1 << q)
         for r in iter_atoms(adj[p] & adj[q] >> (q + 1) << (q + 1)):
             if _union(parent, e, edge[p, r]) | _union(parent, e, edge[q, r]):
-                merging.append((1 << p | 1 << q | 1 << r, e))
-    touched = {}
+                blocks.append(1 << p | 1 << q | 1 << r)
+    classes = [0] * n
     for (p, q), e in edge.items():
-        root = _find(parent, e)
-        touched[root] = touched.get(root, 0) | 1 << p | 1 << q
-    for root, atoms in touched.items():
-        if atoms == top:
-            return Covering(tuple(sorted(t for t, e in merging if _find(parent, e) == root)))
-    return None
+        root = 1 << _find(parent, e)
+        classes[p] |= root
+        classes[q] |= root
+    if any(not classes[p] & classes[q] for p, q in itertools.combinations(range(n), 2)):
+        return None
+    return Covering(tuple(sorted(blocks)))
 
 
 def laterally_connected(

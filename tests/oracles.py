@@ -442,24 +442,29 @@ def connected_covering_exists(closed_sets, n_atoms: int) -> bool:
     `third_atom_count` becomes a block, and `weakly_connected_per_pair`
     decides that covering.  Every block of a connected covering lies in
     one of these cliques, and adding blocks keeps a covering connected,
-    so this covering passes exactly when some covering does."""
+    so this covering passes exactly when some covering does.  The
+    maximal cliques are listed by Bron-Kerbosch: a clique `r` grown by
+    candidates `p`, reported when neither `p` nor the excluded atoms `x`
+    could grow it further."""
     fam = {frozenset(_atoms(m)) for m in closed_sets}
-    edge = {
-        (p, q)
-        for p, q in itertools.combinations(range(n_atoms), 2)
-        if third_atom_count(fam, p, q) >= 3
-    }
+    nbrs = {p: set() for p in range(n_atoms)}
+    for p, q in itertools.combinations(range(n_atoms), 2):
+        if third_atom_count(fam, p, q) >= 3:
+            nbrs[p].add(q)
+            nbrs[q].add(p)
+    cliques = []
 
-    def clique(atoms) -> bool:
-        return all(pair in edge for pair in itertools.combinations(sorted(atoms), 2))
+    def grow(r, p, x):
+        if not p and not x:
+            if len(r) >= 2:
+                cliques.append(sum(1 << a for a in r))
+            return
+        for v in sorted(p):
+            grow(r | {v}, p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
 
-    cliques = [
-        sum(1 << a for a in subset)
-        for k in range(2, n_atoms + 1)
-        for subset in itertools.combinations(range(n_atoms), k)
-        if clique(subset)
-        and not any(clique(subset + (r,)) for r in range(n_atoms) if r not in subset)
-    ]
+    grow(set(), set(range(n_atoms)), set())
     return weakly_connected_per_pair(closed_sets, n_atoms, cliques)[0]
 
 

@@ -115,12 +115,13 @@ def _from_meet_irreducibles(n, mis):
     return Lattice.from_closed_family(n, [sum(1 << a for a in m) for m in mis], mode="complete")
 
 
-def test_connected_covering_refutes_exactly_where_no_covering_exists(b3):
+def test_connected_covering_refutes_exactly_where_no_covering_exists(b3, prod23):
     # None is a refutation: no atom pair has a third atom (the first
-    # three), or the third-atom graph is the path 1 - 0 - 2, whose two
-    # edges share no triangle and so touch two atoms each
+    # three), the third-atom graph is the path 1 - 0 - 2, whose two
+    # edges share no triangle, so atoms 1 and 2 touch no common class,
+    # or the lattice is the 24-atom MO(2)xMO(3) product base
     path = _from_meet_irreducibles(3, [{0}, {1}, {1, 2}, {2}])
-    for lat in (seplat.build_two(), b3[0], seplat.build_boolean(4)[0], path):
+    for lat in (seplat.build_two(), b3[0], seplat.build_boolean(4)[0], path, prod23.base):
         assert seplat.connected_covering(lat) is None
         assert not oracles.connected_covering_exists(lat.closed_sets, lat.atom_count)
     assert sorted(path.meet_irreducibles()) == [1, 2, 4, 6]
@@ -189,6 +190,41 @@ def test_connected_covering(mo2, monkeypatch):
     assert [atoms_of(b) for b in cov.blocks] == [(0, 1, 3), (0, 2, 4), (0, 3, 4)]
     assert graphs == [mo2[0], fano, lat]  # one third-atom graph per call
     assert seplat.weakly_connected(lat, cov).ok
+
+
+def _circulant_triangles(n, s, missing):
+    """The triangles {i, i + s, i + 2s} mod n that avoid the atom
+    `missing`, as atom masks."""
+    tris = {frozenset((i, (i + s) % n, (i + 2 * s) % n)) for i in range(n)}
+    return {sum(1 << a for a in t) for t in tris if missing not in t}
+
+
+@pytest.mark.parametrize("n, step, y", [(41, 5, 15), (21, 8, 1)])
+def test_connected_covering_with_no_class_touching_every_atom(n, step, y):
+    # The third-atom graph is class A, the edges of the triangles
+    # {i, i + 1, i + 2} mod n that avoid atom 0, class B, those of
+    # {i, i + step, i + 2 step} that avoid atom y, and the edge {0, y}.
+    # No triangle mixes the classes, so none of the three touches every
+    # atom, yet every atom pair lies in one of them:
+    # the triangles of A and of B with the block {0, y} form a connected
+    # covering.  The closed sets are the singletons, the other atom pairs
+    # and the top, so the edges are exactly the pairs outside the family.
+    a, b = _circulant_triangles(n, 1, 0), _circulant_triangles(n, step, y)
+    edges = {m & ~(1 << r) for m in a | b for r in atoms_of(m)} | {1 | 1 << y}
+    lat = Lattice.from_closed_family(
+        n,
+        [1 << p for p in range(n)]
+        + [1 << p | 1 << q for p, q in itertools.combinations(range(n), 2)
+           if 1 << p | 1 << q not in edges],
+        mode="complete",
+    )
+    explicit = Covering(tuple(sorted(a | b)) + (1 | 1 << y,))
+    assert seplat.weakly_connected(lat, explicit).ok
+    assert seplat.weakly_connected(lat, Covering(tuple(sorted(a)))).witness == (0,)
+    cov = seplat.connected_covering(lat)
+    assert cov is not None and seplat.weakly_connected(lat, cov).ok
+    assert oracles.weakly_connected_per_pair(lat.closed_sets, n, cov.blocks)[0]
+    assert oracles.connected_covering_exists(lat.closed_sets, n)
 
 
 # -- lateral connectedness ---------------------------------------------------

@@ -364,7 +364,7 @@ def test_cli_check_failures_and_json_report(tmp_path, docs, capsys):
     assert data["checks"]["ortho"]["ok"] is True
 
 
-def test_cli_check_weak_connectedness(tmp_path, docs, mo1, prod23, capsys):
+def test_cli_check_weak_connectedness(tmp_path, docs, mo1, prod23, capsys, monkeypatch):
     assert main(["check", docs["mo2"], "--weakly-connected"]) == 0
     assert "weakly-connected: pass" in capsys.readouterr().out
 
@@ -388,8 +388,14 @@ def test_cli_check_weak_connectedness(tmp_path, docs, mo1, prod23, capsys):
     text = capsys.readouterr().out
     assert "weak-connectedness-refuted: FAIL (connected covering 0,1,3;0,2,4;0,3,4)" in text
     assert main(["check", five, "--weakly-connected", "--covering", "0,1,3;0,2,4;0,3,4"]) == 0
+    graphs = []
+    build = seplat.axioms._third_atom_graph
+    monkeypatch.setattr(
+        seplat.axioms, "_third_atom_graph", lambda lat: graphs.append(lat) or build(lat)
+    )
     assert main(["check", five, "--weakly-connected", "--covering", "auto"]) == 0
-    capsys.readouterr()
+    assert len(graphs) == 1  # the covering `auto` builds is not checked again
+    assert "weakly-connected: pass" in capsys.readouterr().out
 
     # `auto` on a lattice with no connected covering is a refutation
     prod = str(tmp_path / "prod23.json")
