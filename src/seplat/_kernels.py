@@ -5,7 +5,9 @@ Masks are plain ints, so the kernels take any atom count.
 `close_under_intersection` adds one seed at a time: the closure of the
 universe and s1..sk is the closure of the first k−1 seeds together with
 the intersections of sk with its members, so each seed costs one pass of
-set-builtin ANDs over the members found so far.
+set-builtin ANDs over the members found so far that hold three atoms or
+more; bottom and the singletons, which are below everything else of at
+most two atoms, are added at the end.
 
 Every kernel that applies a permutation goes through `_mask_action`,
 which maps a mask through the list of atom images one set bit at a
@@ -22,28 +24,46 @@ from typing import Container, Iterable, Sequence
 BACKEND = "pure"
 
 
-def close_under_intersection(seeds: Iterable[int], universe: int) -> list[int]:
-    """Smallest family containing `seeds` and `universe` that is closed
-    under pairwise intersection, for seeds that are subsets of
-    `universe`.  Returns the members in ascending int order (callers
-    re-sort into canonical family order).
+def close_under_intersection(seeds: Iterable[int], universe: int) -> set[int]:
+    """Smallest family containing `seeds`, `universe`, bottom and every
+    singleton of `universe` that is closed under pairwise intersection,
+    for seeds that are subsets of `universe`.  Returns the members as a
+    set (callers sort into canonical family order).
 
     Seeds are added one at a time, in the caller's order and at their
-    first occurrence; the result does not depend on that order, only the
-    cost does.  Let C be the closure of the universe and the seeds added
-    so far, and s the next seed.  Every member of the closure with s
-    added is an intersection of some of these sets, so it is c or s ∩ c
-    for some c in C, and C ∪ {s ∩ c : c ∈ C} is closed under
-    intersection, as (s ∩ c) ∩ c' = s ∩ (c ∩ c').  That union is
-    therefore the new closure; it holds s = s ∩ universe, and a seed that
-    is already a member changes nothing and costs one lookup.  Cost
-    O(members · seeds) ANDs, each pass one `map` over the members found
-    so far."""
+    first occurrence, and bottom and the singletons after them; the
+    result does not depend on that order, only the cost does.  Let C be
+    the closure of the universe and the seeds added so far, and s the
+    next seed.  Every member of the closure with s added is an
+    intersection of some of these sets, so it is c or s ∩ c for some c
+    in C, and C ∪ {s ∩ c : c ∈ C} is closed under intersection, as
+    (s ∩ c) ∩ c' = s ∩ (c ∩ c').  That union is therefore the new
+    closure; it holds s = s ∩ universe, and a seed that is already a
+    member changes nothing and costs one lookup.
+
+    Only the members c of three atoms or more are intersected with s.
+    A new member of three atoms or more is s ∩ c for a c at least as
+    large, so every such member is still found.  A member c of at most
+    two atoms has only bottom, its singletons and itself below it, so
+    s ∩ c is bottom, a singleton, or c, which is found already; for the
+    same reason a seed of at most two atoms is added with no pass.  Bottom
+    and the singletons are added at the end and meet every member in one
+    of themselves, so the family with them is the closure.  Cost
+    O(wide · seeds) ANDs, wide the members of three atoms or more, each
+    pass one `map` over those found so far."""
     found = {universe}
+    wide = [universe] if universe.bit_count() > 2 else []
     for s in dict.fromkeys(seeds):
-        if s not in found:
-            found |= set(map(s.__and__, found))
-    return sorted(found)
+        if s in found or s.bit_count() < 3:
+            found.add(s)
+            continue
+        new = set(map(s.__and__, wide)) - found
+        new.add(s)
+        found |= new
+        wide += [c for c in new if c.bit_count() > 2]
+    found.add(0)
+    found.update(1 << a for a in range(universe.bit_length()) if universe >> a & 1)
+    return found
 
 
 def _mask_action(perm: Sequence[int]):

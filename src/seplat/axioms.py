@@ -23,8 +23,8 @@ from .product import (
     CheckReport,
     ProductLattice,
     _embedding_verdicts,
+    _lazy_pools,
     _pair_perm,
-    _subset_pools,
     otimes,
 )
 
@@ -119,18 +119,25 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return ra != rb
 
 
-def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult:
+def weakly_connected(
+    lattice: Lattice, covering: Covering, adj: Optional[list[int]] = None
+) -> ConnectivityResult:
     """A lattice is weakly connected when it is not the two-element
     lattice and the covering is connected: blocks of at least two atoms
     exhausting the atom set, a third atom under the join of any two atoms
     of a block, and any two atoms linked by a chain of blocks whose
     consecutive members share at least two atoms.
 
-    The join condition reads the third-atom graph (`_third_atom_graph`),
-    built once over every atom pair: block by block and atom p by atom p,
-    in ascending order, the first missing pair is (p, q) for the lowest
+    The join condition reads the third-atom graph `adj`
+    (`_third_atom_graph`, built here over every atom pair unless the
+    caller has built it): block by block and atom p by atom p, in
+    ascending order, the first missing pair is (p, q) for the lowest
     atom q > p of the block that is no neighbour of p, the witness that a
-    scan of the block's pairs would report first."""
+    scan of the block's pairs would report first.  Two blocks share two
+    atoms exactly when they share an atom pair, so the chain condition
+    merges each block with the first block that holds each of its atom
+    pairs, at Σ C(|b|, 2) lookups rather than a test of every block
+    pair."""
     covering.validate_shape(lattice)
     n = lattice.atom_count
     if n < 2:
@@ -145,7 +152,8 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
         return ConnectivityResult(
             False, "blocks cover every atom", atoms_of(lattice.top & ~union)
         )
-    adj = _third_atom_graph(lattice)
+    if adj is None:
+        adj = _third_atom_graph(lattice)
     for b in blocks:
         for p in iter_atoms(b):
             missing = b >> (p + 1) << (p + 1) & ~adj[p]
@@ -154,13 +162,12 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
                 return ConnectivityResult(
                     False, "a third atom below the join of any block pair", (p, q)
                 )
-    # chain condition: components of the block graph with overlap >= 2
-    k = len(blocks)
-    comp = list(range(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if popcount(blocks[i] & blocks[j]) >= 2:
-                _union(comp, i, j)
+    # chain condition: components of the blocks linked by a shared atom pair
+    comp = list(range(len(blocks)))
+    holder: dict[tuple[int, int], int] = {}
+    for i, b in enumerate(blocks):
+        for pair in itertools.combinations(iter_atoms(b), 2):
+            _union(comp, i, holder.setdefault(pair, i))
     atom_comps = [0] * n
     for bi, b in enumerate(blocks):
         c = _find(comp, bi)
@@ -175,24 +182,28 @@ def weakly_connected(lattice: Lattice, covering: Covering) -> ConnectivityResult
     return ConnectivityResult(True)
 
 
-def connected_covering(lattice: Lattice) -> Optional[Covering]:
+def connected_covering(
+    lattice: Lattice, adj: Optional[list[int]] = None
+) -> Optional[Covering]:
     """A covering that passes `weakly_connected`, or None when no
     connected covering exists: the decision is exact.
 
-    Call two edges of the third-atom graph (`_third_atom_graph`, built
-    once) linked when they lie in a common triangle.  A connected
-    covering exists exactly when there are two atoms or more and every
-    atom pair touches a common class of linked edges.  Every block of a
-    connected covering is a clique of at least two atoms, its edges are
-    linked through its triangles, and blocks sharing two atoms share an
-    edge, so each chain of blocks keeps its edges in one class, which
-    touches every atom of the chain.  Conversely the triangles that merge
-    two edge classes in a union-find span each class's links and chain
-    its atoms, and an edge in no triangle is a class of its own, so these
-    triangles and those edges form a connected covering.  The single
-    block of all atoms is returned when the graph is complete, else those
-    blocks in ascending order."""
-    n, top, adj = lattice.atom_count, lattice.top, _third_atom_graph(lattice)
+    Call two edges of the third-atom graph `adj` (`_third_atom_graph`,
+    built here unless the caller has built it) linked when they lie in a
+    common triangle.  A connected covering exists exactly when there are
+    two atoms or more and every atom pair touches a common class of
+    linked edges.  Every block of a connected covering is a clique of at
+    least two atoms, its edges are linked through its triangles, and
+    blocks sharing two atoms share an edge, so each chain of blocks keeps
+    its edges in one class, which touches every atom of the chain.
+    Conversely the triangles that merge two edge classes in a union-find
+    span each class's links and chain its atoms, and an edge in no
+    triangle is a class of its own, so these triangles and those edges
+    form a connected covering.  The single block of all atoms is returned
+    when the graph is complete, else those blocks in ascending order."""
+    n, top = lattice.atom_count, lattice.top
+    if adj is None:
+        adj = _third_atom_graph(lattice)
     if n < 2:
         return None
     if all(a | 1 << p == top for p, a in enumerate(adj)):
@@ -383,8 +394,9 @@ def check_sproduct(
         meets and joins are ANDs of element codes that hold the masks and
         the meet-irreducible signatures (`_embedding_verdicts`): a law
         that the empty subset and every pair keep is recorded as kept on
-        the whole pool, and only a law that fails is evaluated subset by
-        subset, meet before join, for the witnesses.
+        the whole pool, whose subsets are then never drawn, and only a
+        law that fails is evaluated subset by subset, meet before join,
+        for the witnesses.
     P1: the embedded meet of two factor atoms is an atom of the base.
     P2: that atom lies under h1(a1) v h2(a2) iff p1 <= a1 or p2 <= a2.
         Each join h1(a1) v h2(a2) is the member with the AND of the two
@@ -422,7 +434,7 @@ def check_sproduct(
     rep = SProductReport()
 
     p0 = CheckReport("P0")
-    left_pool, right_pool = _subset_pools(left.closed_sets, right.closed_sets)
+    left_pool, right_pool = _lazy_pools(left.closed_sets, right.closed_sets)
     _check_embedding_morphism(p0, base, left, product.h1, "h1", left_pool)
     _check_embedding_morphism(p0, base, right, product.h2, "h2", right_pool)
     rep.reports["P0"] = p0

@@ -97,10 +97,12 @@ def _cmd_check(args) -> int:
         elif args.covering == "auto":
             record("weakly-connected", True)  # connected by construction
         else:
-            res = axioms.weakly_connected(lat, cov)
+            # one third-atom graph for the check and, on a failure, the refutation
+            adj = axioms._third_atom_graph(lat)
+            res = axioms.weakly_connected(lat, cov, adj)
             record("weakly-connected", res.ok, None if res.ok else (res.condition, res.witness))
             if not res.ok:
-                found = axioms.connected_covering(lat)
+                found = axioms.connected_covering(lat, adj)
                 record(
                     "weak-connectedness-refuted",
                     found is None,

@@ -111,18 +111,15 @@ class Lattice:
         pairwise intersection) and raises ValidationError naming the first
         violated invariant otherwise; it is for families from outside.
 
-        mode="complete" treats `sets` as generators: it closes them, with
-        bottom and the singletons appended after them, under intersection
-        in one kernel call.  This is how every lattice seplat constructs
-        is built.  The result meets every law `validate` checks, so it is
-        not checked again: the kernel's closure is closed under
-        intersection and holds top, and bottom and the singletons are
-        seeds.  Whether the appended sets were already in the closure of
-        the generators alone is the caller's own mathematics, which its
-        docstring states.  The singletons go last, so once the closure
-        of the generators holds them, as it does for every construction
-        here that has generators, each costs one lookup rather than a pass
-        over the members.
+        mode="complete" treats `sets` as generators: one kernel call
+        closes them under intersection together with top, bottom and the
+        singletons, which the kernel adds itself.  This is how every
+        lattice seplat constructs is built.  The result meets every law
+        `validate` checks, so it is not checked again: the kernel's
+        closure is closed under intersection and holds top, bottom and
+        every singleton.  Whether bottom and the singletons were already
+        in the closure of the generators alone is the caller's own
+        mathematics, which its docstring states.
         """
         if atom_count < 0:
             raise ValidationError("atom count is nonnegative", atom_count)
@@ -137,8 +134,7 @@ class Lattice:
             for m in masks:
                 _require_atoms(m, top)
         if mode == "complete":
-            seeds = [*masks, 0, *(1 << a for a in range(atom_count))]
-            masks = _kernels.close_under_intersection(seeds, top)
+            masks = _kernels.close_under_intersection(masks, top)
             return cls(atom_count, masks, atom_labels)
         lat = cls(atom_count, masks, atom_labels)
         lat.validate()
@@ -158,7 +154,16 @@ class Lattice:
         {m ∩ c : c ∈ C}, and the first step that leaves the family is
         reported with the witness (c, m), c the first member of C in
         family order with c ∩ m missing.  C never leaves the family, so
-        even a malformed family costs at most |family| · |MI| ANDs."""
+        even a malformed family costs at most |family| · |MI| ANDs.
+
+        Only the members of C with three atoms or more are kept and
+        intersected with m.  Bottom and the singletons are checked first,
+        and a member c of at most two atoms has only bottom, its
+        singletons and itself below it, so c ∩ m is a member and c is
+        never a witness.  A member of C with three atoms or more is m ∩ c
+        for a c at least as large, so the kept part of C is the same at
+        every step, and the step that fails and its witness are those of
+        the whole C."""
         top = full_mask(self.atom_count)
         index = self._index
         if top not in index:
@@ -168,17 +173,17 @@ class Lattice:
         for a in range(self.atom_count):
             if (1 << a) not in index:
                 raise ValidationError("every singleton is closed", (a,))
-        closed = {top}
+        wide = {top} if top.bit_count() > 2 else set()
         for m in self.meet_irreducibles():
-            new = set(map(m.__and__, closed))
+            new = set(map(m.__and__, wide))
             if not index.keys() >= new:
-                c = next(c for c in self.closed_sets if c in closed and c & m not in index)
+                c = next(c for c in self.closed_sets if c in wide and c & m not in index)
                 raise ValidationError(
                     "family is closed under intersection",
                     (atoms_of(c), atoms_of(m)),
                     f"missing {atoms_of(c & m)}",
                 )
-            closed |= new
+            wide.update([c for c in new if c.bit_count() > 2])
 
     # -- basic structure ----------------------------------------------
 
@@ -310,12 +315,24 @@ class Lattice:
         as sig(x) − sig(y) is nonempty.  So each y costs one AND per
         meet-irreducible and a count of the results.  The members y are
         visited by popcount, then family index, and appended to a bucket
-        per x, which gives the order above."""
+        per x, which gives the order above.
+
+        A member y of at most two atoms takes no count: the lattice holds
+        bottom and every singleton, so the lower covers of an atom are
+        bottom alone, and those of {p, q} are {p} and {q}, y less one
+        atom either way."""
         if self._covers is None:
             sig, _ = self.signatures()
             found = self._mi_found
             below: dict[int, list[int]] = {x: [] for x in self.closed_sets}
             for y in sorted(self.closed_sets, key=int.bit_count):
+                if y.bit_count() < 3:
+                    rest = y
+                    while rest:
+                        low = rest & -rest
+                        below[y ^ low].append(y)
+                        rest ^= low
+                    continue
                 rank = popcount(sig[y])
                 for x, count in Counter(map(y.__and__, found)).items():
                     if x != y and count == popcount(sig[x]) - rank:

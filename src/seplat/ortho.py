@@ -239,7 +239,7 @@ def closure_from_orthogonality(
     The closed sets are exactly the polars of arbitrary atom subsets: the
     full set (polar of nothing), the atom polars, and their intersections,
     so the atom polars go to `Lattice.from_closed_family` in complete
-    mode.  The bottom and singletons that mode appends are closed sets
+    mode.  The bottom and singletons that mode adds are closed sets
     already: separation makes every singleton {p} the intersection of the
     polars of the atoms in polars[p], and bottom is the polar of all
     atoms.  The polar map restricted to the closed sets is an

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass, field, replace
@@ -154,7 +155,7 @@ def aerts_product_general(left: Lattice, right: Lattice) -> ProductLattice:
     Works for arbitrary factors.  The seeds go to
     `Lattice.from_closed_family` in complete mode, whose closure is the
     base, not validated again.  The bottom and singletons that mode
-    appends are in the closure of the seeds already, which holds the
+    adds are in the closure of the seeds already, which holds the
     cross of every element pair (below): bottom is cross(bottom, bottom),
     the empty set, and the singleton (p1, p2) is the intersection of its
     row cross(p1, bottom) and its column cross(bottom, p2).
@@ -237,6 +238,8 @@ def aerts_product_sharp(
 # the empty subset and every pair, and in a finite lattice binary and
 # empty meets and joins determine all others by associativity, so a map
 # that passes them passes every subset and the draws never change a verdict.
+# So the subsets are drawn only for the witnesses of a law that fails
+# (`_SubsetPool`); a law that passes counts the pool by its length.
 SUBSET_CAP = 3
 SUBSET_SAMPLES = 20
 SUBSET_SEED = 7
@@ -256,6 +259,33 @@ def _subset_pools(*families: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
             pool.append(tuple(rng.sample(elems, min(r, len(elems)))))
         out.append(pool)
     return out
+
+
+class _SubsetPool:
+    """The subset pool of `families[k]` as `_subset_pools` draws it, drawn
+    only when iterated.  A law that every subset keeps needs only the
+    pool's length, Σ_{r ≤ SUBSET_CAP} C(n, r) + SUBSET_SAMPLES for n
+    elements; a law that fails iterates the pool for its witnesses, and
+    each iteration draws every pool up to k again from the seeded
+    generator, so the draws are those of `_subset_pools`."""
+
+    __slots__ = ("families", "k")
+
+    def __init__(self, families: tuple[tuple[int, ...], ...], k: int):
+        self.families = families
+        self.k = k
+
+    def __len__(self) -> int:
+        n = len(self.families[self.k])
+        return sum(math.comb(n, r) for r in range(SUBSET_CAP + 1)) + SUBSET_SAMPLES
+
+    def __iter__(self):
+        return iter(_subset_pools(*self.families)[self.k])
+
+
+def _lazy_pools(*families: tuple[int, ...]) -> list[_SubsetPool]:
+    """The pools of `_subset_pools`, each drawn only when iterated."""
+    return [_SubsetPool(families, k) for k in range(len(families))]
 
 
 @dataclass
@@ -384,7 +414,7 @@ def lateral_join_check(product: ProductLattice) -> CheckReport:
                 failures.append(("left", j, i, k, atoms_of(got)))
     report.checked = n1 * len(right_joins) + n2 * len(left_joins)
 
-    pools = _subset_pools(left.closed_sets, right.closed_sets)
+    pools = _lazy_pools(left.closed_sets, right.closed_sets)
     for lat, h, side, pool in zip((left, right), (product.h1, product.h2), ("h1", "h2"), pools):
         _, joins = _embedding_verdicts(base, lat, h, pool)
         if joins is None:

@@ -21,7 +21,7 @@ from seplat.axioms import (
 from seplat.bitset import atoms_of, popcount
 from seplat.errors import CoveringError, ForeignElementError, SizeCapError, ValidationError
 from seplat.perm import Automorphism, AutoGroup
-from seplat.product import CheckReport, ProductLattice, _subset_pools
+from seplat.product import CheckReport, ProductLattice, _lazy_pools, _subset_pools
 
 import oracles
 from test_product import _with_base
@@ -1012,3 +1012,23 @@ def test_induced_pair_group_rejects_maps_off_the_base(prod22, aut_mo2):
         seplat.induced_pair_group(_with_row_pair(prod22), aut_mo2, aut_mo2)
     assert exc.value.law == "group members are automorphisms of the lattice"
     assert seplat.induced_pair_group(prod22, aut_mo2, aut_mo2).order == 576
+
+
+def test_passing_embedding_checks_draw_no_subset_pool(prod23, two, monkeypatch):
+    # A law that every subset keeps counts the pool by its closed-form
+    # length; the subsets are drawn only for the witnesses of a failure.
+    families = (prod23.left.closed_sets, prod23.right.closed_sets)
+    for fams in (families, (two.closed_sets,) * 2):
+        for pool, subsets in zip(_lazy_pools(*fams), _subset_pools(*fams)):
+            assert len(pool) == len(subsets)
+            assert list(pool) == subsets
+    p0_checked = 2 * (2 + sum(map(len, _subset_pools(*families))))
+
+    def refuse(*families):
+        raise AssertionError("a subset pool was drawn")
+
+    monkeypatch.setattr(seplat.product, "_subset_pools", refuse)
+    ident = AutoGroup.identity_only(prod23.left), AutoGroup.identity_only(prod23.right)
+    p0 = seplat.check_sproduct(prod23, *ident).reports["P0"]
+    assert p0.passed and p0.checked == p0_checked
+    assert seplat.lateral_join_check(prod23).passed

@@ -50,6 +50,7 @@ def test_complete_mode_equals_closing_then_validating(data, rnd):
     rnd.shuffle(shuffled)
     top = (1 << n) - 1
     closed = _kernels.close_under_intersection(seeds, top)
+    assert closed == set(oracles.close_by_worklist([*seeds, 0, *singletons], top))
     assert _kernels.close_under_intersection(shuffled, top) == closed
     assert _kernels.close_under_intersection(reversed(seeds), top) == closed
 
@@ -58,9 +59,9 @@ def test_complete_mode_equals_closing_then_validating(data, rnd):
 
 
 def assert_generators_close_to(generators, lattice):
-    """The kernel closure of the generators alone holds bottom and every
+    """The closure of the generators alone holds bottom and every
     singleton, so complete mode adds nothing to it, and it is the family."""
-    closed = _kernels.close_under_intersection(generators, lattice.top)
+    closed = oracles.close_by_worklist(generators, lattice.top)
     assert 0 in closed
     assert all(1 << a in closed for a in range(lattice.atom_count))
     assert canonical_family(closed) == lattice.closed_sets

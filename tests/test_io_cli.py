@@ -396,6 +396,13 @@ def test_cli_check_weak_connectedness(tmp_path, docs, mo1, prod23, capsys, monke
     assert main(["check", five, "--weakly-connected", "--covering", "auto"]) == 0
     assert len(graphs) == 1  # the covering `auto` builds is not checked again
     assert "weakly-connected: pass" in capsys.readouterr().out
+    # a given covering that fails and the refutation share one graph
+    graphs.clear()
+    assert main(["check", five, "--weakly-connected"]) == 1
+    assert len(graphs) == 1
+    assert "weak-connectedness-refuted: FAIL (connected covering 0,1,3;0,2,4;0,3,4)" in (
+        capsys.readouterr().out
+    )
 
     # `auto` on a lattice with no connected covering is a refutation
     prod = str(tmp_path / "prod23.json")

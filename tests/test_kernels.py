@@ -3,8 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seplat
 from seplat import _kernels
 from seplat.bitset import canonical_family, mask_of
+from seplat.product import sharp_relation
 
 import oracles
 
@@ -22,6 +24,12 @@ def brute_closure(seeds, universe):
     return sorted(found)
 
 
+def with_atoms(seeds, universe):
+    """The seeds followed by bottom and every singleton of `universe`,
+    which the closure kernel adds to its seeds itself."""
+    return [*seeds, 0, *(1 << a for a in range(universe.bit_length()) if universe >> a & 1)]
+
+
 # -- closure kernel -----------------------------------------------------
 
 
@@ -37,8 +45,8 @@ def brute_closure(seeds, universe):
 def test_closure_matches_brute_force(data):
     n, seeds = data
     universe = (1 << n) - 1
-    want = brute_closure(seeds, universe)
-    assert _kernels.close_under_intersection(seeds, universe) == want
+    want = brute_closure(with_atoms(seeds, universe), universe)
+    assert _kernels.close_under_intersection(seeds, universe) == set(want)
 
 
 @given(
@@ -49,12 +57,37 @@ def test_closure_is_a_closure_operator(seeds):
     universe = (1 << 10) - 1
     fam = _kernels.close_under_intersection(seeds, universe)
     assert universe in fam
-    assert set(seeds) <= set(fam)  # extensive
+    assert set(with_atoms(seeds, universe)) <= fam  # extensive
     members = set(fam)
     for x in fam:
         for y in fam:
             assert x & y in members  # intersection-closed
     assert _kernels.close_under_intersection(fam, universe) == fam  # idempotent
+
+
+def test_closure_intersects_only_members_of_three_atoms_or_more():
+    # The MO(4)×MO(4) polars close to 1714 members, 81 of them with three
+    # atoms or more.  Each seed meets only those found before it, so the
+    # ANDs are bounded by seeds × 81, not seeds × 1714, whatever the
+    # timing.
+    ands = []
+
+    class CountingMask(int):
+        """An atom mask that records each mask it is intersected with."""
+
+        def __and__(self, other):
+            ands.append(other)
+            return int.__and__(self, other)
+
+    mo4, ortho4 = seplat.build_mo(4)
+    polars = sharp_relation(mo4, ortho4, mo4, ortho4).polars
+    top = (1 << len(polars)) - 1
+    fam = _kernels.close_under_intersection(map(CountingMask, polars), top)
+    assert fam == set(oracles.close_by_worklist(with_atoms(polars, top), top))
+    wide = [x for x in fam if x.bit_count() > 2]
+    assert (len(fam), len(wide), len(polars)) == (1714, 81, 64)
+    assert ands and all(c.bit_count() > 2 for c in ands)
+    assert len(ands) <= len(polars) * len(wide)
 
 
 # -- permutation application --------------------------------------------
@@ -148,7 +181,7 @@ def test_kernels_handle_wide_universes():
     universe = (1 << 70) - 1
     seeds = [1 << 69 | 1, (1 << 70) - 2]
     fam = _kernels.close_under_intersection(seeds, universe)
-    assert fam == brute_closure(seeds, universe)
+    assert fam == set(brute_closure(with_atoms(seeds, universe), universe))
     assert _kernels.family_preserved(tuple(range(70)), fam, set(fam))
     # reversing atoms 1..68 fixes every member; a rotation moves {69}
     mirror = (0,) + tuple(range(68, 0, -1)) + (69,)
@@ -176,9 +209,8 @@ def test_backend_reported():
 def test_closure_matches_the_worklist_oracle(data):
     n, seeds = data
     universe = (1 << n) - 1
-    assert _kernels.close_under_intersection(seeds, universe) == oracles.close_by_worklist(
-        seeds, universe
-    )
+    want = oracles.close_by_worklist(with_atoms(seeds, universe), universe)
+    assert _kernels.close_under_intersection(seeds, universe) == set(want)
 
 
 WIDE = 130

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 import seplat
-from seplat import _kernels
 from seplat.bitset import atoms_of, mask_of, popcount
 from seplat.errors import ForeignElementError, RelationError, ValidationError
 from seplat.lattice import Lattice
@@ -429,7 +428,7 @@ def test_is_closure_of_matches_closing_the_seeds(data, rnd):
     # seeds or the family one member off.
     n, polars = data
     top = (1 << n) - 1
-    family = set(_kernels.close_under_intersection(polars, top))
+    family = set(oracles.close_by_worklist(polars, top))
     lat = Lattice(n, family)
     dropped_seed = list(polars)
     dropped_seed.pop(rnd.randrange(n))
@@ -439,11 +438,11 @@ def test_is_closure_of_matches_closing_the_seeds(data, rnd):
         (dropped_seed, family),
         ([*polars, rnd.getrandbits(n)], family),
         (polars, family - {irreducible}),
-        (polars, set(_kernels.close_under_intersection([*family, rnd.getrandbits(n)], top))),
+        (polars, set(oracles.close_by_worklist([*family, rnd.getrandbits(n)], top))),
     ]
     assert lat.is_closure_of(polars)
     for seeds, fam in cases:
-        want = set(_kernels.close_under_intersection(seeds, top)) == fam
+        want = set(oracles.close_by_worklist(seeds, top)) == fam
         assert Lattice(n, fam).is_closure_of(seeds) == want
 
 
@@ -486,6 +485,32 @@ def test_validate_matches_the_member_pair_loop(data, rnd):
     with pytest.raises(ValidationError) as exc:
         lat.validate()
     assert exc.value.law == want[0]
+
+
+def _mo_gf_b3_products(mo2, mo3, b3):
+    """The bases of MO(2)×MO(3), GF(2)^3×MO(2) and B3×MO(2): the first is
+    almost all members of at most two atoms, the others mostly wider."""
+    gf = seplat.build_subspace_lattice(2, 3)
+    pairs = ((mo2[0], mo3[0]), (gf, mo2[0]), (b3[0], mo2[0]))
+    return [seplat.aerts_product_general(left, right).base for left, right in pairs]
+
+
+def test_validate_witness_matches_the_oracle_without_a_two_atom_member(mo2, mo3, b3):
+    # `validate` closes only the members of three atoms or more; with any
+    # one two-atom member removed, its law and witness must still be the
+    # oracle's first violation over every member and meet-irreducible.
+    cases = 0
+    for base in _mo_gf_b3_products(mo2, mo3, b3):
+        for gone in base:
+            if popcount(gone) != 2:
+                continue
+            lat = Lattice(base.atom_count, [x for x in base if x != gone])
+            want = oracles.first_violation(lat.closed_sets, lat.atom_count, lat.meet_irreducibles())
+            with pytest.raises(ValidationError) as exc:
+                lat.validate()
+            assert (exc.value.law, tuple(map(mask_of, exc.value.witness))) == want
+            cases += 1
+    assert cases == 480
 
 
 def test_validate_refuses_a_wide_family_without_closing_it():
@@ -575,6 +600,12 @@ def test_covers_order_on_products_and_geometries(prod23, mo1):
     ]
     for lat in lattices:
         assert list(lat.covers()) == oracles.ordered_covers(lat.closed_sets)
+
+
+def test_covers_match_the_ordered_pair_scan_on_products(mo2, mo3, b3):
+    # the members of at most two atoms take no count, the others do
+    for base in _mo_gf_b3_products(mo2, mo3, b3):
+        assert list(base.covers()) == oracles.ordered_covers(base.closed_sets)
 
 
 @given(complete_lattices())
